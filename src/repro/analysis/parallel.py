@@ -302,33 +302,41 @@ def execute_job(job: RunJob, cache_dir: Optional[str] = None) -> RunResult:
     base warms its natural-count workload (the target workload's prefix,
     or its superset on a shrink) and the fork re-seats core-by-core.
     ``cache_dir`` additionally persists the warmed base state; see
-    :func:`warmup_checkpoint_path`.
+    :func:`warmup_checkpoint_path`.  A job that resumes from that
+    checkpoint builds no traces: the checkpoint holds the live workload,
+    and only a grow needs the added cores' fresh traces.
     """
     cfg = build_job_config(job)
     tracer = Tracer() if job.trace else None
     checkpoint = warmup_checkpoint_path(cache_dir, job)
     if checkpoint:
         os.makedirs(os.path.dirname(checkpoint), exist_ok=True)
+    # The one existence check: run_system is told the outcome, so a job
+    # that skips the build below can never reach a fresh warmup.
+    resume = bool(checkpoint) and os.path.exists(checkpoint)
     base_cfg = warmup_base_config(job) if job.warmup_instrs else None
     base_workload = None
-    if base_cfg is not None and base_cfg.num_cores != cfg.num_cores:
-        # Build once at the larger count and slice: the smaller machine's
-        # workload is the larger build's prefix by construction.
-        if base_cfg.num_cores < cfg.num_cores:
+    workload = None
+    if base_cfg is None or base_cfg.num_cores == cfg.num_cores:
+        if not resume:
             workload = build_job_workload(job)
-            base_workload = workload[:base_cfg.num_cores]
-        else:
-            base_workload = build_job_workload(
-                job, num_cores=base_cfg.num_cores)
-            workload = base_workload[:cfg.num_cores]
-    else:
+    elif base_cfg.num_cores < cfg.num_cores:
+        # Build once at the larger count and slice: the smaller machine's
+        # workload is the larger build's prefix by construction.  A
+        # resumed grow still needs the added cores' traces (the tail).
         workload = build_job_workload(job)
+        base_workload = workload[:base_cfg.num_cores]
+    elif not resume:
+        base_workload = build_job_workload(
+            job, num_cores=base_cfg.num_cores)
+        workload = base_workload[:cfg.num_cores]
     return run_system(cfg, workload, label=job.label,
                       max_cycles=job.max_cycles, tracer=tracer,
                       warmup_instrs=job.warmup_instrs,
                       warmup_checkpoint=checkpoint,
                       warmup_base_cfg=base_cfg,
-                      warmup_base_workload=base_workload)
+                      warmup_base_workload=base_workload,
+                      resume=resume)
 
 
 def _on_alarm(_signum, _frame):

@@ -122,8 +122,9 @@ def add_sanitize_arguments(parser) -> None:
                         help="also gate the System.fork contract: a "
                              "no-override fork must be bit-identical to "
                              "its parent, warmup-inert overrides must "
-                             "match a from-scratch warmup, and aggressive "
-                             "forks must be deterministic (reports the "
+                             "match a from-scratch warmup, aggressive "
+                             "forks must be deterministic, and reconfigure "
+                             "must seat what fork seats (reports the "
                              "per-component carryover ratios)")
 
 

@@ -15,6 +15,7 @@ Exposed as ``repro sanitize`` and as ``repro run --sanitize``.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import enum
 from collections import OrderedDict, deque
@@ -375,7 +376,7 @@ def sanitize_fork_identity(mix: str = "H1", n_instrs: int = 4000,
                            seed: int = 1) -> SanitizeReport:
     """Fork/reseat contract gate (``repro sanitize --fork-identity``).
 
-    Three parts, each contributing prefixed divergences:
+    Four parts, each contributing prefixed divergences:
 
     - ``identity.*`` — forking with **no** overrides must reproduce the
       parent machine bit for bit (full state-tree diff, including
@@ -393,6 +394,11 @@ def sanitize_fork_identity(mix: str = "H1", n_instrs: int = 4000,
       fresh warmup would have produced, so this part checks determinism
       and viability, not equality with a from-scratch warmup; the
       per-component carryover table lands in the report's ``notes``.
+    - ``reconfigure.*`` — :meth:`~repro.sim.system.System.reconfigure`
+      (the consuming fork the sweep runner uses) must seat the same
+      machine as ``fork``: two identically warmed parents, one forked and
+      one reconfigured under the aggressive overrides, must agree on the
+      full state tree before the run and on the statistics after it.
     """
     from ..sim.runner import run_system
     from ..sim.system import System
@@ -453,6 +459,23 @@ def sanitize_fork_identity(mix: str = "H1", n_instrs: int = 4000,
                                       div.first, div.second))
     compared += len(set(state_a) | set(state_b))
     fork_a.run()                        # raises on deadlock/timeout
+
+    # -- part 4: reconfigure seats what fork seats ----------------------
+    forked, _ = warmed_parent().fork(aggressive)
+    target = copy.deepcopy(forked.cfg)
+    moved, _ = warmed_parent().reconfigure(target)
+    state_f = flatten_state(forked.snapshot())
+    state_m = flatten_state(moved.snapshot())
+    forked.run()
+    moved.run()
+    stats_f = snapshot_run_stats(forked)
+    stats_m = snapshot_run_stats(moved)
+    for prefix, first, second in (("reconfigure.state", state_f, state_m),
+                                  ("reconfigure.stats", stats_f, stats_m)):
+        for div in diff_trees(first, second):
+            divergences.append(Divergence(f"{prefix}.{div.field}",
+                                          div.first, div.second))
+        compared += len(set(first) | set(second))
 
     return SanitizeReport(
         deterministic=not divergences,

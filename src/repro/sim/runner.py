@@ -66,13 +66,14 @@ class RunResult:
         return self.stats.total_instructions() / self.stats.total_cycles
 
 
-def run_system(cfg: SystemConfig, workload: Workload,
+def run_system(cfg: SystemConfig, workload: Optional[Workload],
                label: str = "", max_cycles: int = 50_000_000,
                tracer: Optional[Tracer] = None,
                warmup_instrs: int = 0,
                warmup_checkpoint: Optional[str] = None,
                warmup_base_cfg: Optional[SystemConfig] = None,
-               warmup_base_workload: Optional[Workload] = None) -> RunResult:
+               warmup_base_workload: Optional[Workload] = None,
+               resume: Optional[bool] = None) -> RunResult:
     """Run one workload on one configuration to completion.
 
     Pass a :class:`repro.trace.Tracer` (or set ``REPRO_TRACE=1``) to record
@@ -85,12 +86,15 @@ def run_system(cfg: SystemConfig, workload: Workload,
     for the warmed machine state: when it exists the warmup is skipped
     entirely (the machine resumes from the file); when it does not, it is
     written right after the warmup boundary so later runs can skip.
+    ``resume`` states which of the two applies when the caller has
+    already looked (``None`` looks here); a resume needs no ``workload``
+    unless it grows the base machine's core count.
 
     ``warmup_base_cfg`` makes the warmup checkpoint *shared across a
     config sweep*: the warmup runs (or the checkpoint is loaded) under
     that canonical base config, and the warmed machine is then
-    :meth:`~repro.sim.system.System.fork`-ed to the target ``cfg`` —
-    caches and predictors re-hash into the target geometries, and the
+    :meth:`~repro.sim.system.System.reconfigure`-d to the target ``cfg``
+    — caches and predictors re-hash into the target geometries, and the
     result carries the per-component carryover ratios in
     ``fork_carryover``.  Without it the checkpoint is config-specific and
     ``cfg``/``workload`` must describe the same run that produced it.
@@ -103,44 +107,45 @@ def run_system(cfg: SystemConfig, workload: Workload,
     """
     if tracer is None and trace_enabled_from_env():
         tracer = Tracer()
-    system = None
-    warmed_from: Optional[str] = None
+    if resume is None:
+        resume = bool(warmup_instrs and warmup_checkpoint
+                      and os.path.exists(warmup_checkpoint))
+    elif resume and not (warmup_instrs and warmup_checkpoint):
+        raise ValueError("resume needs warmup_instrs and a warmup_checkpoint")
+    if workload is None and not resume:
+        raise ValueError("a run that does not resume from a warmup "
+                         "checkpoint needs its workload")
     fork_carryover: Optional[dict] = None
-
-    def _fork_to_target(base: System):
-        return base.fork(tracer=tracer, cfg=cfg,
-                         added_workload=workload[len(base.cores):])
-
-    if (warmup_instrs and warmup_checkpoint
-            and os.path.exists(warmup_checkpoint)):
-        if warmup_base_cfg is not None:
+    if resume and warmup_base_cfg is None:
+        system = System.from_checkpoint(warmup_checkpoint, tracer=tracer)
+    elif warmup_instrs and warmup_base_cfg is not None:
+        if resume:
             base = System.from_checkpoint(warmup_checkpoint)
-            system, report = _fork_to_target(base)
-            fork_carryover = report.as_dict()
         else:
-            system = System.from_checkpoint(warmup_checkpoint,
-                                            tracer=tracer)
-        warmed_from = "checkpoint"
-    if system is None:
-        if warmup_instrs and warmup_base_cfg is not None:
-            # Warm the canonical base once, persist it for the rest of
-            # the sweep, then fork to this point's config.
+            # Warm the canonical base once and persist it for the rest
+            # of the sweep.
             base = System(copy.deepcopy(warmup_base_cfg),
                           warmup_base_workload
                           if warmup_base_workload is not None else workload)
             base.warmup(warmup_instrs, max_cycles=max_cycles)
             if warmup_checkpoint:
                 base.checkpoint(warmup_checkpoint)
-            system, report = _fork_to_target(base)
-            fork_carryover = report.as_dict()
-            warmed_from = "fresh"
-        else:
-            system = System(cfg, workload, tracer=tracer)
-            if warmup_instrs:
-                system.warmup(warmup_instrs, max_cycles=max_cycles)
-                if warmup_checkpoint:
-                    system.checkpoint(warmup_checkpoint)
-                warmed_from = "fresh"
+        # Nothing uses the base again: move it into this point's config
+        # instead of forking a copy.
+        system, report = base.reconfigure(
+            cfg, tracer=tracer,
+            added_workload=(workload[len(base.cores):]
+                            if workload is not None else None))
+        fork_carryover = report.as_dict()
+    else:
+        system = System(cfg, workload, tracer=tracer)
+        if warmup_instrs:
+            system.warmup(warmup_instrs, max_cycles=max_cycles)
+            if warmup_checkpoint:
+                system.checkpoint(warmup_checkpoint)
+    warmed_from: Optional[str] = None
+    if warmup_instrs:
+        warmed_from = "checkpoint" if resume else "fresh"
     stats = system.run(max_cycles=max_cycles)
     dram_stats = system.dram_stats
     accesses = sum(d.accesses for d in dram_stats)

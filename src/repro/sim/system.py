@@ -13,7 +13,7 @@ import gc
 import os
 import pickle
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.ooo_core import OutOfOrderCore
@@ -113,7 +113,10 @@ class System(SimComponent):
         # The checkpoint/fork envelope carries the live workload objects
         # beside the snapshot tree (see fork/checkpoint below), so the
         # snapshot protocol itself deliberately skips both attributes.
-        self._workload: List[Tuple[Trace, MemoryImage]] = list(workload)  # simlint: disable=SIM010
+        # ``reconfigure`` moves the workload out and leaves None: the
+        # mark of a consumed machine.
+        self._workload: Optional[List[Tuple[Trace, MemoryImage]]] = \
+            list(workload)
         self.images: List[MemoryImage] = [image for _t, image in workload]  # simlint: disable=SIM010
         num_stops = cfg.num_cores + cfg.num_mcs
         # ``ring`` keeps its historical name; the actual fabric behind it
@@ -299,6 +302,7 @@ class System(SimComponent):
         """
         if warmup_instrs <= 0:
             return
+        self._require_live("warm up")
         if self._warmed or self.wheel.now or self._finished:
             raise SnapshotError("warmup requires a fresh machine")
         for core in self.cores:
@@ -346,6 +350,7 @@ class System(SimComponent):
         :meth:`warmup`); the returned statistics then cover only the
         measured region.
         """
+        self._require_live("run")
         if warmup_instrs:
             self.warmup(warmup_instrs, max_cycles=max_cycles)
         for core in self.cores:
@@ -425,6 +430,7 @@ class System(SimComponent):
     def snapshot(self, kind: str = KIND_FULL) -> dict:
         """Capture the full machine state.  Requires a quiesced machine:
         in-flight state holds callbacks and cannot be serialized."""
+        self._require_live("snapshot")
         if self.wheel.pending:
             raise SnapshotError(
                 f"cannot snapshot with {self.wheel.pending} events pending "
@@ -566,14 +572,13 @@ class System(SimComponent):
         shared-warmup contract (see ``repro sanitize --fork-identity``).
 
         ``cfg`` (keyword-only) supplies a complete target config instead
-        of overrides — the sweep runner's path, which has already built
-        the per-point config.  Mutually exclusive with ``cfg_overrides``.
+        of overrides, for a caller that has already built the per-point
+        config.  Mutually exclusive with ``cfg_overrides``.
+
+        A caller that drops the parent right after forking should use
+        :meth:`reconfigure` instead: the same seating without the copy.
         """
         from ..uarch.params import set_config_field
-        if self.wheel.pending:
-            raise SnapshotError(
-                f"cannot fork with {self.wheel.pending} events pending "
-                "(quiesce the machine first)")
         if cfg is not None:
             if cfg_overrides:
                 raise ValueError(
@@ -582,30 +587,76 @@ class System(SimComponent):
             cfg = copy.deepcopy(self.cfg)
             for key, value in (cfg_overrides or {}).items():
                 set_config_field(cfg, key, value)
-        if cfg.num_cores > self.cfg.num_cores:
-            added = list(added_workload or ())
-            needed = cfg.num_cores - self.cfg.num_cores
-            if len(added) != needed:
-                raise SnapshotError(
-                    f"fork growing num_cores ({self.cfg.num_cores} -> "
-                    f"{cfg.num_cores}) needs {needed} added per-core "
-                    f"traces, got {len(added)}: per-core traces are "
-                    "workload identity, not configuration")
-        else:
-            if added_workload:
-                raise ValueError(
-                    "added_workload only applies when the fork grows "
-                    "num_cores")
-            added = []
-        cfg.validate()
+        added = self._target_added(cfg, added_workload, "fork")
         workload, added, state = pickle.loads(pickle.dumps(
             (self._workload, added, self.snapshot(kind=KIND_WORKLOAD)),
             protocol=pickle.HIGHEST_PROTOCOL))
-        forked = System(cfg, (workload + added)[:cfg.num_cores],
-                        tracer=tracer)
+        return System._seated(cfg, workload + added, state, tracer)
+
+    def reconfigure(self, cfg: SystemConfig, tracer=None,
+                    added_workload: Optional[
+                        Sequence[Tuple[Trace, MemoryImage]]] = None
+                    ) -> Tuple["System", CarryoverReport]:
+        """Move this machine's workload and warmed state into a new
+        machine built under ``cfg``, without copying anything.
+
+        The consuming form of :meth:`fork` (same contract, same carryover
+        report, same ``added_workload`` rule for a grow) for callers that
+        drop the parent right after forking — the sweep runner.  The new
+        machine takes over the live workload objects and the
+        :data:`KIND_WORKLOAD` snapshot as they are, so the parent is
+        unusable afterwards: ``run``, ``warmup``, ``fork``,
+        ``reconfigure``, ``snapshot`` and ``checkpoint`` on it raise
+        :class:`SnapshotError`.
+        """
+        added = self._target_added(cfg, added_workload, "reconfigure")
+        state = self.snapshot(kind=KIND_WORKLOAD)
+        workload, self._workload = self._workload, None
+        return System._seated(cfg, workload + added, state, tracer)
+
+    def _require_live(self, action: str) -> None:
+        if self._workload is None:
+            raise SnapshotError(
+                f"cannot {action}: reconfigure moved this machine's "
+                "workload and state into another machine")
+
+    def _target_added(self, cfg: SystemConfig,
+                      added_workload: Optional[
+                          Sequence[Tuple[Trace, MemoryImage]]],
+                      action: str) -> List[Tuple[Trace, MemoryImage]]:
+        """Validate a :meth:`fork`/:meth:`reconfigure` target and return
+        the added cores' traces (empty unless ``cfg`` grows the count)."""
+        self._require_live(action)
+        if self.wheel.pending:
+            raise SnapshotError(
+                f"cannot {action} with {self.wheel.pending} events pending "
+                "(quiesce the machine first)")
+        added = list(added_workload or ())
+        if cfg.num_cores > self.cfg.num_cores:
+            needed = cfg.num_cores - self.cfg.num_cores
+            if len(added) != needed:
+                raise SnapshotError(
+                    f"{action} growing num_cores ({self.cfg.num_cores} -> "
+                    f"{cfg.num_cores}) needs {needed} added per-core "
+                    f"traces, got {len(added)}: per-core traces are "
+                    "workload identity, not configuration")
+        elif added:
+            raise ValueError(
+                f"added_workload only applies when the {action} grows "
+                "num_cores")
+        cfg.validate()
+        return added
+
+    @staticmethod
+    def _seated(cfg: SystemConfig,
+                workload: List[Tuple[Trace, MemoryImage]], state: dict,
+                tracer) -> Tuple["System", CarryoverReport]:
+        """Build a machine under ``cfg`` on ``workload`` (surplus traces
+        of a shrink dropped) and reseat ``state`` into it."""
+        machine = System(cfg, workload[:cfg.num_cores], tracer=tracer)
         report = CarryoverReport()
-        forked.reseat(state, report)
-        return forked, report
+        machine.reseat(state, report)
+        return machine, report
 
     # ------------------------------------------------------------------
     # checkpoint / resume
@@ -619,8 +670,10 @@ class System(SimComponent):
         and memory images, which mutate during execution), and the
         component state tree in one pickle, so shared object identity —
         rename-table entries referencing trace uops, cores referencing
-        their images — survives the round trip.
+        their images — survives the round trip.  A failed write leaves
+        no temporary file behind.
         """
+        self._require_live("checkpoint")
         payload = {
             "format": CHECKPOINT_FORMAT,
             "version": CHECKPOINT_VERSION,
@@ -629,9 +682,14 @@ class System(SimComponent):
             "state": self.snapshot(),
         }
         tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "wb") as fh:
-            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "wb") as fh:
+                pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            os.replace(tmp, path)
+        except BaseException:
+            with suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def from_checkpoint(cls, path: str, tracer=None) -> "System":

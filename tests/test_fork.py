@@ -1,4 +1,4 @@
-"""System.fork and shared-warmup sweep tests.
+"""System.fork, System.reconfigure and shared-warmup sweep tests.
 
 The fork contract: workload-derived state (cache/TLB contents, branch
 history, trace cursors) carries from a warmed parent into a machine
@@ -11,12 +11,15 @@ Bit-identity oracle is :func:`repro.lint.sanitize.flatten_state`, same
 as the lifecycle tests.
 """
 
+import copy
 import dataclasses
+import os
+import pickle
 
 import pytest
 
 from repro.analysis.parallel import mix_job, run_jobs
-from repro.lint.sanitize import flatten_state
+from repro.lint.sanitize import flatten_state, flatten_tree
 from repro.sim.component import SnapshotError
 from repro.sim.system import KIND_WORKLOAD, System
 from repro.uarch.params import eight_core_config, quad_core_config
@@ -123,6 +126,88 @@ def test_fork_shrinking_cores_drops_surplus_and_runs():
     # The parent stays intact and can still fork.
     again, _ = parent.fork()
     assert len(again.cores) == 8
+
+
+# ---------------------------------------------------------------------------
+# reconfigure: fork without the copy, parent consumed
+# ---------------------------------------------------------------------------
+
+def _mesh():
+    cfg = quad_core_config()
+    cfg.ring.topology = "mesh"
+    return cfg
+
+
+def _hermes():
+    cfg = quad_core_config(emc=True)
+    cfg.emc.predictor.kind = "hermes"
+    return cfg
+
+
+# name -> (parent config, parent core count, target config, added cores)
+RECONFIGURE_CASES = {
+    "identity": (quad_core_config, 4, quad_core_config, 0),
+    "ring-to-mesh": (quad_core_config, 4, _mesh, 0),
+    "map-i-to-hermes": (lambda: quad_core_config(emc=True), 4, _hermes, 0),
+    "grow-4-to-8": (quad_core_config, 4, eight_core_config, 4),
+    "shrink-8-to-4": (eight_core_config, 8, quad_core_config, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECONFIGURE_CASES))
+def test_reconfigure_matches_fork(case):
+    parent_cfg, parent_cores, target_cfg, added_cores = \
+        RECONFIGURE_CASES[case]
+    parent = System(parent_cfg(),
+                    build_scaled_mix("H4", parent_cores, N, seed=1))
+    parent.warmup(100)
+    added = build_scaled_mix("H4", parent_cores + added_cores, N,
+                             seed=1)[parent_cores:]
+    forked, fork_report = parent.fork(cfg=target_cfg(),
+                                      added_workload=added)
+    moved, move_report = parent.reconfigure(target_cfg(),
+                                            added_workload=added)
+    assert move_report.as_dict() == fork_report.as_dict()
+    assert flatten_state(moved.snapshot()) == \
+           flatten_state(forked.snapshot())
+    assert flatten_tree(moved.run()) == flatten_tree(forked.run())
+
+
+def test_reconfigured_parent_is_consumed(tmp_path):
+    parent = warmed()
+    child, _ = parent.reconfigure(copy.deepcopy(parent.cfg))
+    checkpoint = str(tmp_path / "consumed.ckpt")
+    for action in (parent.run, lambda: parent.warmup(100), parent.fork,
+                   lambda: parent.checkpoint(checkpoint),
+                   lambda: parent.reconfigure(quad_core_config())):
+        with pytest.raises(SnapshotError, match="reconfigure"):
+            action()
+    assert not os.listdir(tmp_path)
+    assert child.run().total_cycles > 0       # the child is unaffected
+
+
+def test_reconfigure_guards_like_fork():
+    parent = warmed()
+    with pytest.raises(SnapshotError, match="num_cores"):
+        parent.reconfigure(eight_core_config())   # grow without traces
+    with pytest.raises(ValueError, match="added_workload"):
+        parent.reconfigure(quad_core_config(),
+                           added_workload=build_mix("H4", N, seed=1)[:1])
+    # A refused reconfigure consumes nothing.
+    parent.reconfigure(quad_core_config())[0].run()
+
+
+def test_failed_checkpoint_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    system = warmed()
+
+    def dump_then_fail(_payload, fh, protocol=None):
+        fh.write(b"partial payload")
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(pickle, "dump", dump_then_fail)
+    with pytest.raises(OSError, match="no space"):
+        system.checkpoint(str(tmp_path / "warm.ckpt"))
+    assert not os.listdir(tmp_path)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 (repro.analysis.parallel): job specs, caching, retry/timeout policy,
 deterministic ordering, and serial/parallel bit-identity."""
 
+import dataclasses
 import os
 import pickle
 import time
@@ -9,11 +10,13 @@ import time
 import pytest
 
 from repro.analysis import parallel
+from repro.analysis.farm import JobQueue, run_worker
 from repro.analysis.parallel import (ParallelRunError, eight_job,
                                      execute_job, job_hash, mix_job,
                                      named_job, run_jobs, solo_job)
 from repro.analysis.sweep import sweep_jobs, sweep_mix
 from repro.sim.runner import run_quad_mix
+from repro.workloads import mixes
 
 N = 400   # per-core instructions: tiny but structurally complete
 
@@ -192,3 +195,75 @@ def test_sweep_jobs_base_overrides_are_kept():
     result = sweep_jobs({"emc.enabled": [True]}, base)
     cfg = result.points[0].result.config
     assert cfg.llc.latency == 20 and cfg.emc.enabled
+
+
+# ---------------------------------------------------------------------------
+# a job builds only the traces it runs
+# ---------------------------------------------------------------------------
+
+def _count_builds(monkeypatch):
+    """Record the benchmark name of every trace built from here on."""
+    built = []
+    real = mixes.build_trace
+
+    def counting(name, *args, **kwargs):
+        built.append(name)
+        return real(name, *args, **kwargs)
+
+    monkeypatch.setattr(mixes, "build_trace", counting)
+    return built
+
+
+def test_checkpoint_resumed_job_builds_traces_only_to_grow(tmp_path,
+                                                           monkeypatch):
+    built = _count_builds(monkeypatch)
+    cache = str(tmp_path)
+    base = mix_job("H4", N, warmup_instrs=100)
+    execute_job(base, cache)                  # fresh warmup: 4 traces
+    assert len(built) == 4
+    points = {"same count": (dataclasses.replace(base, emc=True), 0),
+              "shrink": (dataclasses.replace(base, num_cores=2), 0),
+              "grow": (dataclasses.replace(base, num_cores=8), 8)}
+    for name, (job, expected) in points.items():
+        built.clear()
+        resumed = execute_job(job, cache)
+        assert resumed.warmed_from == "checkpoint", name
+        assert len(built) == expected, name
+        # ...and runs exactly what a cache-less fresh warmup runs.
+        assert resumed.stats == execute_job(job).stats, name
+
+
+def test_fresh_grow_builds_the_larger_workload_once(tmp_path, monkeypatch):
+    built = _count_builds(monkeypatch)
+    result = execute_job(dataclasses.replace(
+        mix_job("H4", N, warmup_instrs=100), num_cores=8), str(tmp_path))
+    assert result.warmed_from == "fresh"
+    assert len(built) == 8
+
+
+H6_SWEEP = """\
+name: h6-sweep
+n_instrs: 400
+warmup: 100
+matrix:
+  workload: [H6]
+  topology: [ring, mesh]
+  emc: [false, true]
+  predictor: [map-i, hermes]
+exclude:
+  - emc: false
+    predictor: hermes
+"""
+
+
+def test_worker_sweep_builds_one_workload(tmp_path, monkeypatch):
+    pytest.importorskip("yaml")
+    from repro.analysis.spec import parse_spec
+    jobs = parse_spec(H6_SWEEP, "h6.yaml").jobs()
+    assert len(jobs) == 6
+    built = _count_builds(monkeypatch)
+    JobQueue(str(tmp_path)).enqueue(jobs, "h6-sweep")
+    assert run_worker(str(tmp_path)) == 6
+    # The first job warms and checkpoints the shared base; the other
+    # five resume from it and build nothing.
+    assert sorted(built) == sorted(mixes.MIXES["H6"])
