@@ -7,12 +7,8 @@ Not figures from the paper — these quantify our implementation decisions:
 - pending-chain buffer (0 = park-in-context, the default)
 """
 
-from dataclasses import replace
-
-from repro.sim.runner import run_system
-from repro.uarch.params import quad_core_config
-from repro.workloads.mixes import build_mix
-from repro.analysis.experiments import scaled
+from repro.analysis.experiments import run, scaled
+from repro.analysis.parallel import job
 
 from conftest import print_header, print_table
 
@@ -20,15 +16,14 @@ MIX = "H3"
 
 
 def _run(n, **emc_overrides):
-    cfg = quad_core_config(prefetcher="none", emc=True)
-    cfg.emc = replace(cfg.emc, **emc_overrides)
-    return run_system(cfg, build_mix(MIX, n, seed=1))
+    return run(job(MIX, n, emc=True, overrides={
+        f"emc.{name}": value for name, value in emc_overrides.items()}))
 
 
 def test_ablation_tlb_policy(once):
     def sweep():
         n = scaled(4000)
-        base = run_system(quad_core_config(), build_mix(MIX, n, seed=1))
+        base = run(job(MIX, n))
         out = {"baseline": (base.aggregate_ipc, None)}
         for policy in ("fetch", "cancel"):
             r = _run(n, tlb_miss_policy=policy)

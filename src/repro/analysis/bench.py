@@ -96,17 +96,22 @@ def run_bench(repeats: int = BENCH_REPEATS,
     Raises :class:`ValueError` for ``repeats < 1`` — silently clamping
     would report a measurement that never happened.
     """
-    from ..sim.runner import run_quad_mix
+    from ..sim.runner import run_system
+    from .parallel import build_job_config, build_job_workload, job
 
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
+    pinned = job(BENCH_MIX, BENCH_N_INSTRS, prefetcher=BENCH_PREFETCHER,
+                 emc=True, seed=BENCH_SEED, warmup_instrs=BENCH_WARMUP)
     best_wall = float("inf")
     result = None
     for _ in range(repeats):
         start = time.perf_counter()
-        run = run_quad_mix(BENCH_MIX, BENCH_N_INSTRS,
-                           prefetcher=BENCH_PREFETCHER, emc=True,
-                           seed=BENCH_SEED, warmup_instrs=BENCH_WARMUP)
+        # Warm up under the pinned config itself (run_system); execute_job
+        # would warm a neutral base and reconfigure it, another machine.
+        run = run_system(build_job_config(pinned),
+                         build_job_workload(pinned),
+                         warmup_instrs=pinned.warmup_instrs)
         wall = time.perf_counter() - start
         if wall < best_wall:
             best_wall = wall

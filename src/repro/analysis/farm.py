@@ -353,13 +353,13 @@ def run_worker(queue_dir: str, worker_id: Optional[str] = None,
             f"(attempt {leased.attempts})")
         with _LeaseKeeper(queue, leased.hash, worker, lease_s):
             try:
-                result = _execute_with_timeout(leased.job, timeout, store)
+                _cache_store(store, leased.job, _execute_with_timeout(
+                    leased.job, timeout, store))
             except Exception as exc:
                 state = queue.fail(leased.hash, worker, repr(exc))
                 log(f"[{worker}] FAIL {leased.job.label}: {exc!r} "
                     f"-> {state}")
                 continue
-        _cache_store(store, leased.job, result)
         queue.complete(leased.hash, worker)
         executed += 1
         log(f"[{worker}] done {leased.job.label}")
@@ -418,10 +418,14 @@ async def _serve(queue: JobQueue, want: Dict[str, RunJob], jobs: int,
             for future in ready:
                 leased = inflight.pop(future)
                 error = future.exception()
+                if error is None:
+                    try:
+                        _cache_store(store, leased.job, future.result())
+                    except Exception as exc:
+                        error = exc
                 if error is not None:
                     queue.fail(leased.hash, worker, repr(error))
                 else:
-                    _cache_store(store, leased.job, future.result())
                     queue.complete(leased.hash, worker)
                     if progress:
                         states = queue.states(list(want))

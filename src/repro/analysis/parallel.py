@@ -9,7 +9,10 @@ provides the one execution layer they share:
 - :class:`RunJob` — a small, picklable, hashable description of one run
   (topology + workload + seed + dotted config overrides).  Jobs carry
   *specifications*, not built objects, so shipping one to a worker process
-  is cheap and the job doubles as a cache key.
+  is cheap and the job doubles as a cache key.  :func:`job` builds one
+  from a YAML-spec workload string; this module is the only place that
+  turns a job into a config and a workload (:func:`build_job_config`,
+  :func:`build_job_workload`).
 - :func:`run_jobs` — execute a job list with ``jobs`` worker processes
   (``ProcessPoolExecutor``), a per-job wall-clock timeout, one automatic
   retry per failed job, deterministic input-order results, an optional
@@ -24,6 +27,7 @@ same spec and the simulator is deterministic).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import pickle
@@ -31,6 +35,7 @@ import signal
 import sys
 import tempfile
 import time
+import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -41,8 +46,9 @@ from ..sim.runner import RunResult, apply_config_overrides, run_system
 from ..trace import Tracer
 from ..uarch.params import (SystemConfig, eight_core_config,
                             quad_core_config)
-from ..workloads.mixes import (build_homogeneous, build_named,
+from ..workloads.mixes import (MIX_NAMES, build_homogeneous, build_named,
                                build_scaled_mix)
+from ..workloads.spec import PROFILES
 from .figures import format_eta, progress_bar
 
 #: bump to invalidate every on-disk cache entry when result layout changes
@@ -131,76 +137,63 @@ class RunJob:
                 self.num_mcs, self.seed, self.warmup_instrs)
 
 
-def _as_overrides(overrides: Optional[Mapping[str, Any]]) -> Overrides:
-    return tuple(sorted((overrides or {}).items()))
+def parse_workload(text: Any) -> Tuple[Tuple[Any, ...], str]:
+    """``H4`` | ``mix:H4`` | ``eight:H3`` | ``homog:mcf[:8]`` |
+    ``named:a+b+c+d`` -> (:attr:`RunJob.workload` tuple, machine shape).
+
+    Raises :class:`ValueError` naming what is wrong with ``text``.
+    """
+    if not isinstance(text, str) or not text:
+        raise ValueError(f"workload must be a string, got {text!r}")
+    kind, _sep, arg = text.partition(":")
+    if not _sep:
+        kind, arg = "mix", text
+    if kind in ("mix", "eight"):
+        if arg not in MIX_NAMES:
+            raise ValueError(f"unknown mix {arg!r}; known: "
+                             f"{', '.join(MIX_NAMES)}")
+        return (kind, arg), "quad" if kind == "mix" else "eight"
+    if kind == "homog":
+        name, _sep2, cores_text = arg.partition(":")
+        cores = 4
+        if _sep2:
+            if cores_text not in ("4", "8"):
+                raise ValueError(f"homog core count must be 4 or 8, got "
+                                 f"{cores_text!r}")
+            cores = int(cores_text)
+        if name not in PROFILES:
+            raise ValueError(f"unknown benchmark {name!r}")
+        return ("homog", name, cores), "quad" if cores == 4 else "eight"
+    if kind == "named":
+        names = tuple(arg.split("+"))
+        if len(names) not in (4, 8):
+            raise ValueError(f"named workloads need 4 or 8 '+'-joined "
+                             f"benchmarks, got {len(names)}")
+        unknown = [n for n in names if n not in PROFILES]
+        if unknown:
+            raise ValueError(f"unknown benchmark(s) {', '.join(unknown)}")
+        return ("named",) + names, "quad" if len(names) == 4 else "eight"
+    raise ValueError(f"unknown workload kind {kind!r}; use mix:, eight:, "
+                     "homog:, or named:")
 
 
-def mix_job(mix: str, n_instrs: int, prefetcher: str = "none",
-            emc: bool = False, seed: int = 1,
-            overrides: Optional[Mapping[str, Any]] = None,
-            max_cycles: int = 50_000_000, trace: bool = False,
-            label: str = "", warmup_instrs: int = 0) -> RunJob:
-    """Quad-core Table 3 mix (the ``run_quad_mix`` shape)."""
-    return RunJob(workload=("mix", mix), n_instrs=n_instrs,
-                  prefetcher=prefetcher, emc=emc, seed=seed,
-                  overrides=_as_overrides(overrides), max_cycles=max_cycles,
-                  trace=trace, warmup_instrs=warmup_instrs,
-                  label=label or f"{mix}/{prefetcher}{'+emc' if emc else ''}")
+def job(workload: str, n_instrs: int, *,
+        overrides: Optional[Mapping[str, Any]] = None, label: str = "",
+        **fields: Any) -> RunJob:
+    """The :class:`RunJob` for a spec-style ``workload`` string.
 
-
-def homog_job(name: str, num_cores: int, n_instrs: int,
-              prefetcher: str = "none", emc: bool = False, seed: int = 1,
-              overrides: Optional[Mapping[str, Any]] = None,
-              trace: bool = False, label: str = "",
-              warmup_instrs: int = 0) -> RunJob:
-    """N copies of one benchmark (the ``run_homogeneous`` shape)."""
-    return RunJob(workload=("homog", name, num_cores), n_instrs=n_instrs,
-                  topology="quad" if num_cores == 4 else "eight",
-                  prefetcher=prefetcher, emc=emc, seed=seed,
-                  overrides=_as_overrides(overrides), trace=trace,
-                  warmup_instrs=warmup_instrs,
-                  label=label or f"{num_cores}x{name}/{prefetcher}"
-                  f"{'+emc' if emc else ''}")
-
-
-def eight_job(mix: str, n_instrs: int, prefetcher: str = "none",
-              emc: bool = False, num_mcs: int = 1, seed: int = 1,
-              overrides: Optional[Mapping[str, Any]] = None,
-              trace: bool = False, label: str = "",
-              warmup_instrs: int = 0) -> RunJob:
-    """Eight-core mix, 1 or 2 memory controllers (Figure 14 shape)."""
-    return RunJob(workload=("eight", mix), n_instrs=n_instrs,
-                  topology="eight", prefetcher=prefetcher, emc=emc,
-                  num_mcs=num_mcs, seed=seed,
-                  overrides=_as_overrides(overrides), trace=trace,
-                  warmup_instrs=warmup_instrs,
-                  label=label or f"8c-{num_mcs}mc/{mix}/{prefetcher}"
-                  f"{'+emc' if emc else ''}")
-
-
-def named_job(names: Sequence[str], n_instrs: int, prefetcher: str = "none",
-              emc: bool = False, seed: int = 1,
-              overrides: Optional[Mapping[str, Any]] = None,
-              trace: bool = False, label: str = "",
-              warmup_instrs: int = 0) -> RunJob:
-    """Explicit benchmark list, one per core of a quad/eight topology."""
-    topology = {4: "quad", 8: "eight"}.get(len(names))
-    if topology is None:
-        raise ValueError(f"named workloads need 4 or 8 names, got "
-                         f"{len(names)}")
-    return RunJob(workload=("named",) + tuple(names), n_instrs=n_instrs,
-                  topology=topology, prefetcher=prefetcher, emc=emc,
-                  seed=seed, overrides=_as_overrides(overrides),
-                  trace=trace, warmup_instrs=warmup_instrs,
-                  label=label or "+".join(names))
-
-
-def solo_job(name: str, n_instrs: int, seed: int = 1,
-             label: str = "") -> RunJob:
-    """Single-core baseline run (weighted-speedup denominator)."""
-    return RunJob(workload=("named", name), n_instrs=n_instrs,
-                  topology="single", seed=seed,
-                  label=label or f"solo/{name}")
+    ``workload`` takes what a YAML spec's workload axis takes (see
+    :func:`parse_workload`), which also picks the machine shape unless
+    ``topology`` is passed.  ``overrides`` maps dotted
+    :class:`SystemConfig` paths to values; ``fields`` are any other
+    :class:`RunJob` fields (``prefetcher``, ``emc``, ``seed``,
+    ``warmup_instrs``, ``fabric``, ...).
+    """
+    spec, shape = parse_workload(workload)
+    fields.setdefault("topology", shape)
+    return RunJob(workload=spec, n_instrs=n_instrs,
+                  overrides=tuple(sorted((overrides or {}).items())),
+                  label=label, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +388,8 @@ def _cache_load(cache_dir: Optional[str],
 
 def _cache_store(cache_dir: Optional[str], job: RunJob,
                  result: RunResult) -> None:
+    """Store ``result`` atomically; any failure removes the temp file
+    and propagates, so a caller never mistakes it for a stored result."""
     if not cache_dir:
         return
     os.makedirs(cache_dir, exist_ok=True)
@@ -404,11 +399,10 @@ def _cache_store(cache_dir: Optional[str], job: RunJob,
         with os.fdopen(fd, "wb") as fh:
             pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
         os.replace(tmp, path)   # atomic: concurrent writers can't corrupt
-    except OSError:
-        try:
+    except BaseException:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +493,13 @@ def run_jobs(jobs_list: Sequence[RunJob], jobs: int = 1,
     def finish(i: int, result: RunResult) -> None:
         nonlocal done
         results[i] = result
-        _cache_store(cache_dir, jobs_list[i], result)
+        try:
+            _cache_store(cache_dir, jobs_list[i], result)
+        except Exception as exc:
+            # The optional cache is best-effort: the caller has the result.
+            warnings.warn(f"result cache write failed for job "
+                          f"{jobs_list[i].label or jobs_list[i].workload!r}"
+                          f": {exc!r}", RuntimeWarning, stacklevel=2)
         done += 1
         if report:
             report(done, total, jobs_list[i].label,

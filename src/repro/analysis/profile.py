@@ -135,13 +135,13 @@ def profile_run(mix: str = BENCH_MIX,
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
     from ..sim.runner import run_system
-    from ..uarch.params import quad_core_config
-    from ..workloads.mixes import build_mix
+    from .parallel import build_job_config, build_job_workload, job
+
+    pinned = job(mix, n_instrs, prefetcher=prefetcher, emc=emc, seed=seed,
+                 warmup_instrs=warmup_instrs)
 
     def build():
-        cfg = quad_core_config(prefetcher=prefetcher, emc=emc, seed=seed)
-        workload = build_mix(mix, n_instrs, seed=seed)
-        return cfg, workload
+        return build_job_config(pinned), build_job_workload(pinned)
 
     reports = []
     if phase == "all":

@@ -41,10 +41,8 @@ from typing import (Any, Callable, Dict, Final, List, Mapping, Optional,
 from ..sim.runner import PREFETCHER_CONFIGS, RunResult
 from ..uarch.params import (PREDICTORS, TOPOLOGIES, quad_core_config,
                             set_config_field)
-from ..workloads.mixes import MIX_NAMES
-from ..workloads.spec import PROFILES
 from .figures import bar_chart
-from .parallel import RunJob
+from .parallel import RunJob, job, parse_workload
 from .report import format_markdown_table, format_table
 
 __all__ = ["ExperimentSpec", "FigureSpec", "SpecError", "TableSpec",
@@ -269,32 +267,26 @@ class ExperimentSpec:
         return out
 
     def _job(self, point: Mapping[str, Any], seed: int) -> RunJob:
-        workload, topology = _parse_workload(point["workload"],
-                                             self.path, None)
-        prefetcher = point.get("prefetcher", "none")
-        emc = bool(point.get("emc", False))
-        num_mcs = int(point.get("num_mcs", 1))
-        # The spec's "topology" axis is the interconnect fabric
-        # (ring|mesh); RunJob.topology is the machine shape derived from
-        # the workload, so the axis lands on RunJob.fabric.
-        fabric = point.get("topology", "ring")
-        num_cores = int(point.get("num_cores", 0))
-        predictor = point.get("predictor", "map-i")
-        overrides = tuple(sorted(
-            (axis, value) for axis, value in point.items()
-            if axis not in RESERVED_AXES))
         knobs = ",".join(f"{k}={_fmt(v)}" for k, v in point.items()
                          if k != "workload")
         label = (f"{self.name}/{point['workload']}"
                  + (f"[{knobs}]" if knobs else "")
                  + (f"#s{seed}" if len(self.seeds) > 1 else ""))
-        return RunJob(workload=workload, n_instrs=self.n_instrs,
-                      topology=topology, prefetcher=prefetcher, emc=emc,
-                      num_mcs=num_mcs, seed=seed, overrides=overrides,
-                      max_cycles=self.max_cycles, trace=self.trace,
-                      label=label, warmup_instrs=self.warmup,
-                      fabric=fabric, num_cores=num_cores,
-                      predictor=predictor)
+        # The spec's "topology" axis is the interconnect fabric
+        # (ring|mesh); RunJob.topology is the machine shape derived from
+        # the workload, so the axis lands on RunJob.fabric.
+        return job(point["workload"], self.n_instrs,
+                   overrides={axis: value for axis, value in point.items()
+                              if axis not in RESERVED_AXES},
+                   label=label, seed=seed,
+                   prefetcher=point.get("prefetcher", "none"),
+                   emc=bool(point.get("emc", False)),
+                   num_mcs=int(point.get("num_mcs", 1)),
+                   fabric=point.get("topology", "ring"),
+                   num_cores=int(point.get("num_cores", 0)),
+                   predictor=point.get("predictor", "map-i"),
+                   max_cycles=self.max_cycles, trace=self.trace,
+                   warmup_instrs=self.warmup)
 
 
 def _fmt(value: Any) -> str:
@@ -330,57 +322,6 @@ def _expect(value: Any, kind: type, what: str, filename: str,
     return value
 
 
-def _parse_workload(text: Any, filename: str,
-                    err: Optional[Callable[[str], SpecError]]
-                    ) -> Tuple[Tuple[Any, ...], str]:
-    """``H4`` | ``mix:H4`` | ``eight:H3`` | ``homog:mcf[:8]`` |
-    ``named:a+b+c+d`` -> (RunJob workload tuple, topology)."""
-    def fail(message: str) -> SpecError:
-        if err is not None:
-            return err(message)
-        return SpecError(message, filename)
-
-    if not isinstance(text, str) or not text:
-        raise fail(f"workload must be a string, got {text!r}")
-    kind, _sep, arg = text.partition(":")
-    if not _sep:
-        kind, arg = "mix", text
-    if kind == "mix":
-        if arg not in MIX_NAMES:
-            raise fail(f"unknown mix {arg!r}; known: "
-                       f"{', '.join(MIX_NAMES)}")
-        return ("mix", arg), "quad"
-    if kind == "eight":
-        if arg not in MIX_NAMES:
-            raise fail(f"unknown mix {arg!r}; known: "
-                       f"{', '.join(MIX_NAMES)}")
-        return ("eight", arg), "eight"
-    if kind == "homog":
-        name, _sep2, cores_text = arg.partition(":")
-        cores = 4
-        if _sep2:
-            if cores_text not in ("4", "8"):
-                raise fail(f"homog core count must be 4 or 8, got "
-                           f"{cores_text!r}")
-            cores = int(cores_text)
-        if name not in PROFILES:
-            raise fail(f"unknown benchmark {name!r}")
-        return (("homog", name, cores),
-                "quad" if cores == 4 else "eight")
-    if kind == "named":
-        names = tuple(arg.split("+"))
-        if len(names) not in (4, 8):
-            raise fail(f"named workloads need 4 or 8 '+'-joined "
-                       f"benchmarks, got {len(names)}")
-        unknown = [n for n in names if n not in PROFILES]
-        if unknown:
-            raise fail(f"unknown benchmark(s) {', '.join(unknown)}")
-        return (("named",) + names,
-                "quad" if len(names) == 4 else "eight")
-    raise fail(f"unknown workload kind {kind!r}; use mix:, eight:, "
-               "homog:, or named:")
-
-
 def _validate_axis(axis: str, values: List[Any], filename: str,
                    lines: Mapping[Path, int], path: Path) -> Tuple[Any, ...]:
     if not isinstance(values, list) or not values:
@@ -399,9 +340,10 @@ def _validate_axis(axis: str, values: List[Any], filename: str,
         seen.add(marker)
     if axis == "workload":
         for i, value in enumerate(values):
-            _parse_workload(
-                value, filename,
-                lambda m, _i=i: _err(filename, lines, path + (_i,), m))
+            try:
+                parse_workload(value)
+            except ValueError as exc:
+                raise _err(filename, lines, path + (i,), str(exc)) from None
     elif axis == "prefetcher":
         for i, value in enumerate(values):
             if value not in PREFETCHER_CONFIGS:

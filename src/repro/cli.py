@@ -19,14 +19,15 @@ import sys
 from types import MappingProxyType
 from typing import Final, List, Mapping, Optional
 
-from .analysis.parallel import ParallelRunError
+from .analysis.parallel import (NATURAL_CORES, ParallelRunError, RunJob,
+                                build_job_config, build_job_workload,
+                                run_jobs)
 from .analysis.report import format_fabric_summary, format_table
-from .sim.runner import (PREFETCHER_CONFIGS, RunResult, run_system)
+from .analysis.spec import ExperimentSpec
+from .sim.runner import PREFETCHER_CONFIGS, RunResult, run_system
 from .trace import Tracer
-from .uarch.params import (PREDICTORS, TOPOLOGIES, eight_core_config,
-                           quad_core_config)
-from .workloads.mixes import (MIX_NAMES, MIXES, build_homogeneous,
-                              build_named, build_scaled_mix)
+from .uarch.params import PREDICTORS, TOPOLOGIES
+from .workloads.mixes import MIX_NAMES, MIXES
 from .workloads.spec import HIGH_INTENSITY, LOW_INTENSITY, PROFILES
 
 
@@ -72,96 +73,81 @@ def _print_result(result: RunResult, verbose: bool = False) -> None:
                 print(f"  {lo:>6d}-{hi:<6d} {n:>6d} {bar}")
 
 
-def _build_config(args) -> object:
-    if getattr(args, "eight_core", False):
-        cfg = eight_core_config(prefetcher=args.prefetcher, emc=args.emc,
-                                num_mcs=getattr(args, "num_mcs", 1),
-                                seed=args.seed)
-    else:
-        cfg = quad_core_config(prefetcher=args.prefetcher, emc=args.emc,
-                               seed=args.seed)
-    cfg.ring.topology = getattr(args, "topology", "ring")
-    cfg.emc.predictor.kind = getattr(args, "predictor", "map-i")
-    if getattr(args, "num_cores", 0):
-        cfg.num_cores = args.num_cores
-        cfg.validate()
-    return cfg
-
-
-def _build_workload(args, cfg):
-    """Resolve --mix/--benchmarks into a workload, or (None, error_rc)."""
-    if args.mix:
-        return (build_scaled_mix(args.mix, cfg.num_cores, args.n_instrs,
-                                 seed=args.seed), args.mix)
-    if args.benchmarks:
-        if len(args.benchmarks) != cfg.num_cores:
-            print(f"error: need {cfg.num_cores} benchmark names, got "
+def _run_job(args) -> Optional[RunJob]:
+    """The one run ``repro run/homog/trace`` describe, or None (after
+    printing why) when the workload flags do not describe one."""
+    shape = "eight" if args.eight_core else "quad"
+    cores = args.num_cores or NATURAL_CORES[shape]
+    if getattr(args, "benchmark", None):
+        workload = ("homog", args.benchmark, NATURAL_CORES[shape])
+    elif args.mix:
+        workload = ("mix", args.mix)
+    elif args.benchmarks:
+        if len(args.benchmarks) != cores:
+            print(f"error: need {cores} benchmark names, got "
                   f"{len(args.benchmarks)}", file=sys.stderr)
-            return None, None
-        return (build_named(args.benchmarks, args.n_instrs, seed=args.seed),
-                "+".join(args.benchmarks))
-    print("error: give --mix or --benchmarks", file=sys.stderr)
-    return None, None
+            return None
+        workload = ("named",) + tuple(args.benchmarks)
+    else:
+        print("error: give --mix or --benchmarks", file=sys.stderr)
+        return None
+    return RunJob(workload=workload, n_instrs=args.n_instrs,
+                  topology=shape, prefetcher=args.prefetcher, emc=args.emc,
+                  num_mcs=getattr(args, "num_mcs", 1), seed=args.seed,
+                  warmup_instrs=args.warmup, fabric=args.topology,
+                  num_cores=args.num_cores, predictor=args.predictor)
+
+
+def _run(job: RunJob, tracer: Optional[Tracer] = None) -> RunResult:
+    """Run ``job`` in-process, warming up under its own config."""
+    return run_system(build_job_config(job), build_job_workload(job),
+                      tracer=tracer, warmup_instrs=job.warmup_instrs)
+
+
+def _describe(args) -> str:
+    return (f"{args.mix or '+'.join(args.benchmarks)} / "
+            f"prefetcher={args.prefetcher} "
+            f"emc={'on' if args.emc else 'off'} "
+            f"({args.n_instrs} instrs/core"
+            + (f", warmup {args.warmup}" if args.warmup else "") + ")")
 
 
 def cmd_run(args) -> int:
-    if getattr(args, "sanitize", False):
+    job = _run_job(args)
+    if job is None:
+        return 2
+    if args.sanitize:
         from .lint.sanitize import sanitize_runs, snapshot_run
-
-        def run_once():
-            cfg = _build_config(args)
-            workload, _label = _build_workload(args, cfg)
-            if workload is None:
-                raise ValueError("give --mix or --benchmarks")
-            tracer = Tracer() if args.trace else None
-            return snapshot_run(run_system(cfg, workload, tracer=tracer,
-                                           warmup_instrs=args.warmup))
-
         label = (args.mix or "run") + (
             f" warmup={args.warmup}" if args.warmup else "")
-        report = sanitize_runs(run_once, label=label)
+        report = sanitize_runs(
+            lambda: snapshot_run(_run(job, Tracer() if args.trace else None)),
+            label=label)
         print(report.format())
         return 0 if report.deterministic else 1
-    cfg = _build_config(args)
-    workload, label = _build_workload(args, cfg)
-    if workload is None:
-        return 2
-    print(f"running {label} / prefetcher={args.prefetcher} "
-          f"emc={'on' if args.emc else 'off'} "
-          f"({args.n_instrs} instrs/core"
-          + (f", warmup {args.warmup}" if args.warmup else "") + ")")
-    tracer = Tracer() if args.trace else None
-    result = run_system(cfg, workload, tracer=tracer,
-                        warmup_instrs=args.warmup)
+    print(f"running {_describe(args)}")
+    result = _run(job, Tracer() if args.trace else None)
     _print_result(result, verbose=args.verbose)
     return 0
 
 
 def cmd_homog(args) -> int:
-    cfg = _build_config(args)
-    workload = build_homogeneous(args.benchmark, cfg.num_cores,
-                                 args.n_instrs, seed=args.seed)
-    print(f"running {cfg.num_cores}x {args.benchmark} / "
+    job = _run_job(args)
+    print(f"running {job.effective_cores()}x {args.benchmark} / "
           f"prefetcher={args.prefetcher} emc={'on' if args.emc else 'off'}")
-    tracer = Tracer() if args.trace else None
-    result = run_system(cfg, workload, tracer=tracer,
-                        warmup_instrs=args.warmup)
+    result = _run(job, Tracer() if args.trace else None)
     _print_result(result, verbose=args.verbose)
     return 0
 
 
 def cmd_trace(args) -> int:
     """Run one workload with tracing on; report + optionally export."""
-    cfg = _build_config(args)
-    workload, label = _build_workload(args, cfg)
-    if workload is None:
+    job = _run_job(args)
+    if job is None:
         return 2
     tracer = Tracer(limit=args.limit)
-    print(f"tracing {label} / prefetcher={args.prefetcher} "
-          f"emc={'on' if args.emc else 'off'} "
-          f"({args.n_instrs} instrs/core)")
-    result = run_system(cfg, workload, tracer=tracer,
-                        warmup_instrs=args.warmup)
+    print(f"tracing {_describe(args)}")
+    result = _run(job, tracer)
     att = result.latency_attribution
     print(f"traced {len(tracer.finished())} requests over "
           f"{result.stats.total_cycles} cycles")
@@ -173,24 +159,39 @@ def cmd_trace(args) -> int:
     return 0
 
 
+def _grid_spec(name: str, args, axes) -> ExperimentSpec:
+    """An in-memory spec over ``args.mix``: ``axes`` (name -> values) plus
+    each common flag as a single-value axis, one seed."""
+    matrix = {"workload": [args.mix], **axes}
+    fixed = {"prefetcher": args.prefetcher, "emc": args.emc,
+             "topology": args.topology, "predictor": args.predictor}
+    if args.num_cores:
+        fixed["num_cores"] = args.num_cores
+    for axis, value in fixed.items():
+        matrix.setdefault(axis, [value])
+    return ExperimentSpec(
+        name=name, description="",
+        axes=tuple((axis, tuple(values)) for axis, values in matrix.items()),
+        include=(), exclude=(), seeds=(args.seed,), n_instrs=args.n_instrs,
+        warmup=args.warmup)
+
+
+def _run_spec(spec: ExperimentSpec, args) -> List[RunResult]:
+    return run_jobs(spec.jobs(), jobs=args.jobs, cache_dir=args.cache_dir,
+                    progress=True if args.jobs > 1 else None)
+
+
 def cmd_compare(args) -> int:
     """All prefetchers x EMC on one workload, normalized."""
-    from .analysis.parallel import mix_job, run_jobs
-    combos = [(prefetcher, emc) for prefetcher in args.prefetchers
-              for emc in (False, True)]
-    results = run_jobs(
-        [mix_job(args.mix, args.n_instrs, prefetcher=prefetcher, emc=emc,
-                 seed=args.seed, warmup_instrs=args.warmup)
-         for prefetcher, emc in combos],
-        jobs=args.jobs, cache_dir=args.cache_dir,
-        progress=True if args.jobs > 1 else None)
+    spec = _grid_spec("compare", args, {"prefetcher": args.prefetchers,
+                                        "emc": [False, True]})
     rows = []
     base_perf: Optional[float] = None
-    for (prefetcher, emc), result in zip(combos, results):
+    for point, result in zip(spec.points(), _run_spec(spec, args)):
         perf = result.aggregate_ipc
         if base_perf is None:
             base_perf = perf
-        rows.append((f"{prefetcher}{'+emc' if emc else ''}",
+        rows.append((f"{point['prefetcher']}{'+emc' if point['emc'] else ''}",
                      perf, perf / base_perf,
                      result.stats.emc_miss_fraction(),
                      result.dram_reads))
@@ -217,34 +218,27 @@ def _parse_value(text: str):
 
 
 def cmd_sweep(args) -> int:
-    from .analysis.sweep import sweep_mix
     grid = {}
-    for spec in args.grid:
-        if "=" not in spec:
-            print(f"error: bad --set {spec!r} (want PATH=V1,V2)",
+    for entry in args.grid:
+        if "=" not in entry:
+            print(f"error: bad --set {entry!r} (want PATH=V1,V2)",
                   file=sys.stderr)
             return 2
-        path, values = spec.split("=", 1)
+        path, values = entry.split("=", 1)
         grid[path] = [_parse_value(v) for v in values.split(",")]
     print(f"sweeping {args.mix} over {grid}"
           + (f" with {args.jobs} workers" if args.jobs > 1 else ""))
-    result = sweep_mix(grid, mix=args.mix, n_instrs=args.n_instrs,
-                       seed=args.seed, emc=args.emc,
-                       prefetcher=args.prefetcher,
-                       jobs=args.jobs, cache_dir=args.cache_dir,
-                       progress=True if args.jobs > 1 else None,
-                       warmup_instrs=args.warmup,
-                       fabric=getattr(args, "topology", "ring"),
-                       num_cores=getattr(args, "num_cores", 0),
-                       predictor=getattr(args, "predictor", "map-i"))
+    spec = _grid_spec("sweep", args, grid)
+    runs = [({k: point[k] for k in grid}, result)
+            for point, result in zip(spec.points(), _run_spec(spec, args))]
     headers = list(grid) + ["perf", "emc_frac"]
-    rows = [tuple(p.overrides[k] for k in grid)
-            + (p.performance, p.result.stats.emc_miss_fraction())
-            for p in result.points]
+    rows = [tuple(knobs.values())
+            + (result.aggregate_ipc, result.stats.emc_miss_fraction())
+            for knobs, result in runs]
     print(format_table(headers, rows,
                        formats={"perf": ".3f", "emc_frac": ".2f"}))
-    best = result.best()
-    print(f"best: {best.overrides} -> {best.performance:.3f}")
+    knobs, best = max(runs, key=lambda run: run[1].aggregate_ipc)
+    print(f"best: {knobs} -> {best.aggregate_ipc:.3f}")
     return 0
 
 
@@ -588,7 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
                            cmd_lint, cmd_sanitize)
     p_lint = sub.add_parser(
         "lint", help="simlint: check simulator invariants "
-                     "(SIM001-SIM009) with the AST-based static analyzer")
+                     "(SIM001-SIM013, SIM099) with the AST-based static "
+                     "analyzer")
     add_lint_arguments(p_lint)
     p_lint.add_argument("-v", "--verbose", action="store_true",
                         help="also print suppressed/baselined findings")

@@ -4,13 +4,12 @@ from ..sim.events import EventWheel
 from ..uarch.params import TOPOLOGIES, FabricConfig
 from .base import FabricStats, Interconnect
 from .mesh import Mesh2D
-from .ring import Ring, RingStats
+from .ring import Ring
 
 __all__ = [
     "Interconnect",
     "FabricStats",
     "Ring",
-    "RingStats",
     "Mesh2D",
     "build_interconnect",
 ]

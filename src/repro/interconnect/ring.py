@@ -13,10 +13,7 @@ from __future__ import annotations
 
 from typing import List
 
-from .base import FabricStats, Interconnect
-
-#: historical name — the ring was the only fabric before the mesh landed.
-RingStats = FabricStats
+from .base import Interconnect
 
 
 class Ring(Interconnect):

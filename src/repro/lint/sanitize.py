@@ -160,19 +160,19 @@ def sanitize_quad_mix(mix: str, n_instrs: int, prefetcher: str = "none",
     ``warmup_instrs`` runs each repetition as a warmup+measure pair, so
     the boundary machinery itself is under the determinism gate.
     """
-    from ..sim.runner import (apply_config_overrides, run_system)
+    from ..analysis.parallel import (build_job_config, build_job_workload,
+                                     job)
+    from ..sim.runner import run_system
     from ..trace import Tracer
-    from ..uarch.params import quad_core_config
-    from ..workloads.mixes import build_mix
+
+    target = job(mix, n_instrs, prefetcher=prefetcher, emc=emc, seed=seed,
+                 overrides=cfg_overrides, warmup_instrs=warmup_instrs)
 
     def run_once() -> Dict[str, Any]:
-        cfg = quad_core_config(prefetcher=prefetcher, emc=emc, seed=seed)
-        apply_config_overrides(cfg, cfg_overrides)
-        cfg.validate()
-        workload = build_mix(mix, n_instrs, seed=seed)
         tracer = Tracer() if trace else None
-        result = run_system(cfg, workload, tracer=tracer,
-                            warmup_instrs=warmup_instrs)
+        result = run_system(build_job_config(target),
+                            build_job_workload(target),
+                            tracer=tracer, warmup_instrs=warmup_instrs)
         return snapshot_run(result)
 
     label = f"{mix}/{prefetcher}{'+emc' if emc else ''} n={n_instrs} " \
@@ -298,13 +298,12 @@ def sanitize_parallel_runner(mix: str, n_instrs: int,
     means the worker path leaks state the serial path does not (or vice
     versa).
     """
-    from ..analysis.parallel import mix_job, run_jobs
+    from ..analysis.parallel import job, run_jobs
 
     def build_jobs():
-        return [mix_job(mix, n_instrs, prefetcher=prefetcher, emc=emc,
-                        seed=seed, warmup_instrs=warmup_instrs),
-                mix_job(mix, n_instrs, prefetcher=prefetcher, emc=not emc,
-                        seed=seed, warmup_instrs=warmup_instrs)]
+        return [job(mix, n_instrs, prefetcher=prefetcher, emc=on,
+                    seed=seed, warmup_instrs=warmup_instrs)
+                for on in (emc, not emc)]
 
     serial = run_jobs(build_jobs(), jobs=1)
     parallel = run_jobs(build_jobs(), jobs=jobs)
@@ -338,18 +337,19 @@ def sanitize_checkpoint_roundtrip(mix: str, n_instrs: int,
     import os
     import tempfile
 
+    from ..analysis.parallel import (build_job_config, build_job_workload,
+                                     job)
     from ..sim.runner import run_system
     from ..trace import Tracer
-    from ..uarch.params import quad_core_config
-    from ..workloads.mixes import build_mix
+
+    target = job(mix, n_instrs, prefetcher=prefetcher, emc=emc, seed=seed,
+                 warmup_instrs=warmup_instrs)
 
     def run_once(checkpoint: str) -> Dict[str, Any]:
-        cfg = quad_core_config(prefetcher=prefetcher, emc=emc, seed=seed)
-        cfg.validate()
-        workload = build_mix(mix, n_instrs, seed=seed)
         tracer = Tracer() if trace else None
-        result = run_system(cfg, workload, tracer=tracer,
-                            warmup_instrs=warmup_instrs,
+        result = run_system(build_job_config(target),
+                            build_job_workload(target),
+                            tracer=tracer, warmup_instrs=warmup_instrs,
                             warmup_checkpoint=checkpoint)
         return snapshot_run(result)
 

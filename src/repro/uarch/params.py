@@ -78,9 +78,6 @@ class FabricConfig:
     mesh_width: int = 0
 
 
-#: historical name — the ring was the only fabric before the mesh landed.
-RingConfig = FabricConfig
-
 
 @dataclass
 class DRAMConfig:

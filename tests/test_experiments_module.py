@@ -17,10 +17,10 @@ N = 700   # per-core instructions: tiny but structurally complete
 
 
 def test_mix_run_is_memoized():
-    a = exp.mix_run("H4", "none", False, N)
-    b = exp.mix_run("H4", "none", False, N)
+    a = exp.run(exp.job("H4", N))
+    b = exp.run(exp.job("H4", N, label="same run, other label"))
     assert a is b
-    c = exp.mix_run("H4", "none", True, N)
+    c = exp.run(exp.job("H4", N, emc=True))
     assert c is not a
 
 

@@ -18,7 +18,7 @@ import pickle
 
 import pytest
 
-from repro.analysis.parallel import mix_job, run_jobs
+from repro.analysis.parallel import job, run_jobs
 from repro.lint.sanitize import flatten_state, flatten_tree
 from repro.sim.component import SnapshotError
 from repro.sim.system import KIND_WORKLOAD, System
@@ -227,12 +227,12 @@ SWEEP_POINTS = [
 
 
 def sweep_jobs():
-    return [mix_job("H4", N, seed=1, warmup_instrs=100, **point)
+    return [job("H4", N, seed=1, warmup_instrs=100, **point)
             for point in SWEEP_POINTS]
 
 
 def test_sweep_points_share_one_warmup_identity():
-    keys = {job.warmup_key() for job in sweep_jobs()}
+    keys = {one.warmup_key() for one in sweep_jobs()}
     assert len(keys) == 1
     # ...but changing the workload or the warmup length splits it.
     base = sweep_jobs()[0]

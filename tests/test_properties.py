@@ -9,7 +9,7 @@ from repro.memsys.cache import SetAssocCache
 from repro.memsys.dram import DRAMChannel, DRAMRequest, DRAMStats
 from repro.interconnect.ring import Ring
 from repro.sim.events import EventWheel
-from repro.uarch.params import DRAMConfig, RingConfig
+from repro.uarch.params import DRAMConfig, FabricConfig
 from repro.workloads.generators import PointerChaseParams, TraceBuilder, \
     pointer_chase
 from repro.workloads.memory_image import MemoryImage
@@ -65,15 +65,15 @@ def test_dram_bank_never_overlaps_service(addrs):
                       min_size=1, max_size=40))
 def test_ring_delivers_everything_in_bounded_time(pairs):
     wheel = EventWheel()
-    ring = Ring(6, RingConfig(), wheel)
+    ring = Ring(6, FabricConfig(), wheel)
     delivered = []
     for src, dst in pairs:
         ring.send(src, dst, "data", lambda: delivered.append(wheel.now))
     wheel.run()
     assert len(delivered) == len(pairs)
     # Worst case: all messages serialized over the longest path.
-    bound = len(pairs) * 6 * (RingConfig().link_cycles
-                              + RingConfig().data_occupancy)
+    bound = len(pairs) * 6 * (FabricConfig().link_cycles
+                              + FabricConfig().data_occupancy)
     assert all(t <= bound for t in delivered)
 
 

@@ -5,11 +5,11 @@ import pytest
 from repro.interconnect import Mesh2D, Ring, build_interconnect
 from repro.sim.component import CarryoverReport
 from repro.sim.events import EventWheel
-from repro.uarch.params import FabricConfig, RingConfig
+from repro.uarch.params import FabricConfig
 
 
 def make_ring(stops=5, **overrides):
-    cfg = RingConfig(**overrides)
+    cfg = FabricConfig(**overrides)
     wheel = EventWheel()
     return Ring(stops, cfg, wheel), wheel, cfg
 
@@ -89,7 +89,7 @@ def test_bad_kind_rejected():
 
 def test_tiny_ring_rejected():
     with pytest.raises(ValueError):
-        Ring(1, RingConfig(), EventWheel())
+        Ring(1, FabricConfig(), EventWheel())
 
 
 def test_delivery_callback_fires_at_latency():

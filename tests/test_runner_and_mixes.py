@@ -2,10 +2,15 @@
 
 import pytest
 
-from repro import (MIX_NAMES, MIXES, PREFETCHER_CONFIGS, build_mix,
-                   run_quad_mix, run_quad_named, speedup)
+from repro import (MIX_NAMES, MIXES, PREFETCHER_CONFIGS, build_job_config,
+                   build_job_workload, build_mix, job, run_system, speedup)
 from repro.workloads.mixes import build_eight_core_mix, build_homogeneous
 from repro.workloads.spec import HIGH_INTENSITY
+
+
+def _run(workload, n_instrs, **fields):
+    one = job(workload, n_instrs, **fields)
+    return run_system(build_job_config(one), build_job_workload(one))
 
 
 def test_table3_mixes_match_paper():
@@ -49,20 +54,20 @@ def test_eight_core_mix_doubles_quad():
 
 
 def test_run_quad_mix_end_to_end():
-    result = run_quad_mix("H4", n_instrs=800, prefetcher="none", emc=False)
+    result = _run("H4", 800, prefetcher="none", emc=False)
     assert result.aggregate_ipc > 0
     assert result.stats.total_cycles > 0
     assert len(result.per_core_ipc) == 4
 
 
 def test_run_quad_named_order_preserved():
-    result = run_quad_named(["mcf", "lbm", "milc", "bwaves"], 600)
+    result = _run("named:mcf+lbm+milc+bwaves", 600)
     names = [c.benchmark for c in result.stats.cores]
     assert names == ["mcf", "lbm", "milc", "bwaves"]
 
 
 def test_speedup_helper():
-    a = run_quad_mix("H4", n_instrs=600)
+    a = _run("H4", 600)
     assert speedup(a, a) == pytest.approx(1.0)
 
 
@@ -73,7 +78,7 @@ def test_prefetcher_configs_list():
 
 
 def test_run_results_carry_energy_and_dram():
-    result = run_quad_mix("H3", n_instrs=600, emc=True)
+    result = _run("H3", 600, emc=True)
     assert result.energy.total > 0
     assert result.dram_accesses > 0
     assert 0 <= result.dram_row_conflict_rate <= 1

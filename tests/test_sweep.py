@@ -1,11 +1,10 @@
-"""Tests for the parameter-sweep utility."""
+"""Tests for config-knob sweeps: dotted config paths and ``repro sweep``."""
 
 import pytest
 
-from repro.analysis.sweep import (get_config_field, run_sweep,
-                                  set_config_field, sweep_mix)
-from repro.uarch.params import quad_core_config
-from repro.workloads.mixes import build_mix
+from repro.cli import main
+from repro.uarch.params import (get_config_field, quad_core_config,
+                                set_config_field)
 
 
 def test_set_get_nested_field():
@@ -25,34 +24,29 @@ def test_set_unknown_field_raises():
         set_config_field(cfg, "nosection.x", 1)
 
 
-def test_sweep_runs_full_grid():
-    result = sweep_mix({"emc.num_contexts": [1, 2],
-                        "emc.max_load_depth": [1, 2]},
-                       mix="H4", n_instrs=400)
-    assert len(result.points) == 4
-    seen = {(p.overrides["emc.num_contexts"],
-             p.overrides["emc.max_load_depth"]) for p in result.points}
-    assert seen == {(1, 1), (1, 2), (2, 1), (2, 2)}
-    for point in result.points:
-        assert point.performance > 0
+def _sweep_rows(capsys, *sets):
+    argv = ["sweep", "--mix", "H4", "-n", "400", "--emc"]
+    for grid in sets:
+        argv += ["--set", grid]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines[2:-1]]
+    return lines[1].split(), rows, lines[-1]
 
 
-def test_sweep_best_and_table():
-    result = sweep_mix({"emc.enabled": [False, True]}, mix="H3",
-                       n_instrs=400)
-    best = result.best()
-    assert best.performance == max(p.performance for p in result.points)
-    rows = result.table({"perf": lambda p: p.performance,
-                         "chains": lambda p:
-                         p.result.stats.emc.chains_generated})
+def test_sweep_runs_full_grid(capsys):
+    headers, rows, _best = _sweep_rows(capsys, "emc.num_contexts=1,2",
+                                       "emc.max_load_depth=1,2")
+    assert headers[:2] == ["emc.num_contexts", "emc.max_load_depth"]
+    assert [tuple(row[:2]) for row in rows] == [
+        ("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")]
+    for row in rows:
+        assert float(row[2]) > 0
+
+
+def test_sweep_best_and_table(capsys):
+    headers, rows, best = _sweep_rows(capsys, "emc.enabled=false,true")
+    assert headers == ["emc.enabled", "perf", "emc_frac"]
     assert len(rows) == 2
-    assert {"emc.enabled", "perf", "chains"} <= set(rows[0])
-
-
-def test_sweep_does_not_mutate_base_config():
-    base = quad_core_config(emc=True)
-    run_sweep({"emc.num_contexts": [4]},
-              workload_factory=lambda: build_mix("H4", 300, seed=1),
-              base_config_factory=lambda: base)
-    # deepcopy inside run_sweep protects the caller's instance
-    assert base.emc.num_contexts == 2
+    top = max(rows, key=lambda row: float(row[1]))
+    assert best == (f"best: {{'emc.enabled': {top[0]}}} -> {top[1]}")

@@ -18,20 +18,20 @@ def fresh_cache():
 
 
 def test_solo_run_single_core():
-    result = exp.solo_run("mcf", n_instrs=500)
+    result = exp.run(exp._solo("mcf", 500, seed=1))
     assert len(result.stats.cores) == 1
     assert result.stats.cores[0].benchmark == "mcf"
 
 
 def test_weighted_speedup_bounds():
-    shared = exp.mix_run("H4", "none", False, 600)
+    shared = exp.run(exp.job("H4", 600))
     ws = exp.weighted_speedup(shared, n_instrs=600)
     # 4 apps sharing one machine: each slows down, so 0 < WS < 4.
     assert 0 < ws < 4
 
 
 def test_weighted_speedup_uses_cache():
-    shared = exp.mix_run("H4", "none", False, 600)
+    shared = exp.run(exp.job("H4", 600))
     exp.weighted_speedup(shared, n_instrs=600)
     # RunJob keys: (workload, n, topology, ...); solo runs are single-core.
     cached = sum(1 for k in exp._CACHE if k[2] == "single")
@@ -39,8 +39,8 @@ def test_weighted_speedup_uses_cache():
 
 
 def test_weighted_speedup_differentiates_configs():
-    base = exp.mix_run("H3", "none", False, 800)
-    emc = exp.mix_run("H3", "none", True, 800)
+    base = exp.run(exp.job("H3", 800))
+    emc = exp.run(exp.job("H3", 800, emc=True))
     ws_base = exp.weighted_speedup(base, n_instrs=800)
     ws_emc = exp.weighted_speedup(emc, n_instrs=800)
     assert ws_base > 0 and ws_emc > 0
