@@ -330,7 +330,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    """Profile the pinned bench run on the host (cProfile/pyinstrument)."""
+    """Profile the pinned bench run on the host (cProfile/pyinstrument),
+    or count its bytecodes per function (opcodes)."""
     from .analysis.profile import profile_run
     overrides = {}
     if args.n_instrs is not None:
@@ -607,24 +608,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hprof = sub.add_parser(
         "profile", help="profile the pinned bench run on the host "
-                        "(cProfile or pyinstrument; finds the hot frames "
-                        "behind a BENCH_<rev>.json trend change)")
+                        "(cProfile, pyinstrument or bytecode counts; finds "
+                        "the hot frames behind a BENCH_<rev>.json trend "
+                        "change)")
     p_hprof.add_argument("--phase", default="all",
                          choices=("build", "sim", "all"),
                          help="profile workload build, the simulation, or "
                               "the whole run (default all)")
     p_hprof.add_argument("--engine", default="cprofile",
-                         choices=("cprofile", "pyinstrument"),
+                         choices=("cprofile", "pyinstrument", "opcodes"),
                          help="profiler backend (pyinstrument falls back "
-                              "to cProfile when not installed)")
+                              "to cProfile when not installed; opcodes "
+                              "counts bytecodes per function per retired "
+                              "instruction, independent of host speed)")
     p_hprof.add_argument("--sort", default="cumulative",
                          help="pstats sort key for cProfile output "
                               "(default cumulative; try tottime)")
     p_hprof.add_argument("--limit", type=int, default=30,
-                         help="rows of pstats output (default 30)")
+                         help="rows of output (default 30)")
     p_hprof.add_argument("--out", default=None, metavar="PATH",
                          help="dump raw stats (.pstats for cProfile, "
-                              ".html for pyinstrument)")
+                              ".html for pyinstrument, .json for "
+                              "opcodes)")
     p_hprof.add_argument("-n", "--n-instrs", type=int,
                          default=None,
                          help="override the pinned instruction count")

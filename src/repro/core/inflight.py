@@ -16,6 +16,15 @@ class UopState(enum.Enum):
     DONE = "done"          # result available, awaiting retirement
 
 
+# Module-level aliases: the core's per-uop paths compare states by
+# identity many times per cycle, and a global load is cheaper than an
+# attribute lookup on the enum class.
+WAITING = UopState.WAITING
+READY = UopState.READY
+ISSUED = UopState.ISSUED
+DONE = UopState.DONE
+
+
 class InflightUop:
     """One dynamic uop in the core's instruction window.
 
@@ -33,16 +42,18 @@ class InflightUop:
         "dispatch_cycle", "issue_cycle", "done_cycle",
     )
 
-    def __init__(self, uop: MicroOp, dispatch_cycle: int) -> None:
+    def __init__(self, uop: MicroOp, dispatch_cycle: int,
+                 p1: Optional["InflightUop"] = None,
+                 p2: Optional["InflightUop"] = None) -> None:
         self.uop = uop
-        self.state = UopState.WAITING
+        self.state = WAITING
         self.deps = 0
         self.consumers: List["InflightUop"] = []
         self.value: int = 0
         self.vaddr: Optional[int] = None
         self.paddr: Optional[int] = None
-        self.p1: Optional["InflightUop"] = None
-        self.p2: Optional["InflightUop"] = None
+        self.p1 = p1
+        self.p2 = p2
         self.mem_dep_p: Optional["InflightUop"] = None
         self.migrated = False          # shipped to the EMC
         self.chain = None              # DependenceChain membership

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..emc.chain import ChainUop, DependenceChain
@@ -28,10 +29,16 @@ from ..sim.component import (KIND_FULL, CarryoverReport, SimComponent,
 from ..sim.stats import CoreStats, CounterBank
 from ..uarch.isa import effective_address, execute_alu
 from ..uarch.uop import MASK64, UOP_LATENCY, Trace, UopType
-from .inflight import InflightUop, UopState
+from .inflight import DONE, ISSUED, READY, WAITING, InflightUop
 
 #: backward-walk depth limit for dependent-miss classification
 MISS_WALK_LIMIT = 24
+
+# Module-level aliases: a member read off the enum class goes through the
+# enum metaclass, several times the cost of a global load.
+LOAD = UopType.LOAD
+STORE = UopType.STORE
+BRANCH = UopType.BRANCH
 
 
 @dataclass(frozen=True)
@@ -68,6 +75,7 @@ class OutOfOrderCore(SimComponent):
         self.stats = CoreStats(core_id=core_id, benchmark=trace.name)
 
         self._trace = trace.uops
+        self._trace_len = len(trace.uops)
         self._fetch_index = 0
         self.rob: Deque[InflightUop] = deque()
         self.ready: Deque[InflightUop] = deque()
@@ -97,6 +105,19 @@ class OutOfOrderCore(SimComponent):
         self._chain_energy = CounterBank(
             ("cdb_broadcasts", "rrt_reads", "rrt_writes",
              "rob_chain_reads"))
+
+        # The per-cycle path reads these every tick; the config of a core
+        # never changes after construction (fork and reconfigure build
+        # new cores), so they are bound once here.
+        core_cfg = self.cfg
+        self._fetch_width = core_cfg.fetch_width
+        self._issue_width = core_cfg.issue_width
+        self._retire_width = core_cfg.retire_width
+        self._rob_entries = core_cfg.rob_entries
+        self._rs_entries = core_cfg.rs_entries
+        self._mispredict_penalty = core_cfg.mispredict_penalty
+        self._emc_enabled = system.cfg.emc.enabled
+        self._dep_counter_trigger = system.cfg.emc.dep_counter_trigger
 
         self._tick_scheduled = False
         self._doze_started: Optional[int] = None
@@ -132,16 +153,18 @@ class OutOfOrderCore(SimComponent):
         self.wheel.schedule(delay, self._tick)
 
     def wake(self) -> None:
-        """Called by any completion event that may unblock this core."""
-        if self._doze_started is not None:
+        """Called by any completion event that may unblock this core.
+
+        :meth:`_complete` carries an inlined copy of this body."""
+        doze_started = self._doze_started
+        if doze_started is not None:
             # Attribute dozed time blocked on a full window to stall stats.
-            cfg = self.cfg
-            if (len(self.rob) >= cfg.rob_entries
-                    or self.rs_occupancy >= cfg.rs_entries):
+            if (len(self.rob) >= self._rob_entries
+                    or self.rs_occupancy >= self._rs_entries):
                 # CoreStats is donated to SimStats.cores at construction;
                 # SimStats.reset_stats zeroes it recursively.
                 self.stats.full_window_stall_cycles += (  # simlint: disable=SIM011
-                    self.wheel.now - self._doze_started)
+                    self.wheel.now - doze_started)
             self._doze_started = None
         self._schedule_tick()
 
@@ -317,202 +340,199 @@ class OutOfOrderCore(SimComponent):
         self._warmup_limit = state["warmup_limit"]
 
     def _can_fetch(self) -> bool:
+        if (self._fetch_blocked or len(self.rob) >= self._rob_entries
+                or self.rs_occupancy >= self._rs_entries
+                or self._fetch_index >= self._trace_len):
+            return False
         if self.stats_frozen and self.system.all_finished:
             return False    # draining: wrapped interference is over
-        if (self._warmup_limit is not None
-                and self.stats.instructions >= self._warmup_limit):
-            return False    # warmup target reached: quiesce for the boundary
-        return (self._fetch_index < len(self._trace)
-                and len(self.rob) < self.cfg.rob_entries
-                and self.rs_occupancy < self.cfg.rs_entries
-                and not self._fetch_blocked)
+        return (self._warmup_limit is None
+                # warmup target reached: quiesce for the boundary
+                or self.stats.instructions < self._warmup_limit)
 
     def _tick(self) -> None:
         """One core cycle: retire, issue, fetch/dispatch, chain
         generation, then reschedule or doze.
 
         The stage bodies are merged into this single method on purpose.
-        On the paper's workloads each stage touches about one uop per
-        cycle, so per-stage call and attribute-binding overhead — not the
-        per-uop work — dominates host time; one shared set of locals per
-        tick is measurably faster than four method calls.  The rare
-        trace-exhausted path stays in :meth:`_on_window_empty`, and
-        :meth:`_can_fetch` remains the (test-patchable) fetch gate.
+        On the paper's workloads the window is full most cycles and each
+        stage touches about one uop, so fixed per-tick and per-call
+        overhead — not the per-uop work — dominates host time.  Hence:
+
+        - one shared set of locals per tick instead of four stage calls;
+        - widths, capacities and the EMC switch bound once at
+          construction (a core's config never changes), and uop states
+          and types read from module-level aliases, not the enum classes;
+        - the retired-instruction and dispatched-uop counters bumped once
+          per group, not once per uop;
+        - the fetch group bounded once by the room left in the window,
+          the RS and the trace;
+        - :meth:`_can_fetch` called once per tick.  Dispatch can only
+          change the window, the RS, the trace position and the fetch
+          block, so after a fetch group only those are re-tested; chain
+          generation can free RS entries, so a generated chain re-runs
+          the full gate.  Every fetch decision still goes through the
+          method, so a test can wedge a core by patching it.
+
+        The rare trace-exhausted path stays in :meth:`_on_window_empty`.
         """
         self._tick_scheduled = False
-        cfg = self.cfg
         rob = self.rob
         ready = self.ready
-        wheel = self.wheel
-        now = wheel.now
-        stats = self.stats
-        regfile = self.regfile
-        done = UopState.DONE
-        ready_state = UopState.READY
+        now = self.wheel.now
 
         # -- retire ------------------------------------------------------
-        if rob and rob[0].state is done:
-            retire_width = cfg.retire_width
+        if rob and rob[0].state is DONE:
+            retire_width = self._retire_width
             by_seq_pop = self._by_seq.pop
             rename_get = self.rename.get
+            regfile = self.regfile
             popleft = rob.popleft
-            frozen = self.stats_frozen
             retired = 0
-            while retired < retire_width and rob and rob[0].state is done:
+            while True:
                 iu = popleft()
                 uop = iu.uop
                 by_seq_pop(uop.seq, None)
-                if rename_get(uop.dest) is iu:
+                dest = uop.dest
+                if rename_get(dest) is iu:
                     # Keep the committed value readable after the entry
                     # leaves the window.
-                    regfile[uop.dest] = iu.value
-                if not frozen:
-                    stats.instructions += 1
+                    regfile[dest] = iu.value
                 retired += 1
-        if not rob and self._fetch_index >= len(self._trace):
+                if (retired >= retire_width or not rob
+                        or rob[0].state is not DONE):
+                    break
+            if not self.stats_frozen:
+                self.stats.instructions += retired
+        if not rob and self._fetch_index >= self._trace_len:
             self._on_window_empty()
 
         # -- issue -------------------------------------------------------
         if ready:
-            issue_width = cfg.issue_width
-            issued_state = UopState.ISSUED
-            load = UopType.LOAD
-            store = UopType.STORE
-            branch = UopType.BRANCH
+            issue_width = self._issue_width
             popleft = ready.popleft
-            regfile_get = regfile.get
-            schedule = wheel.schedule
+            regfile_get = self.regfile.get
             issued = 0
-            retry = None
             while ready and issued < issue_width:
                 iu = popleft()
-                if iu.migrated or iu.state is not ready_state:
+                if iu.migrated or iu.state is not READY:
                     continue
                 uop = iu.uop
                 op = uop.op
-                if op is load and not self._l1_mshr_free(iu):
-                    retry = iu
+                if op is LOAD and not self._l1_mshr_free(iu):
+                    ready.appendleft(iu)    # still READY: retry next cycle
                     break
-                iu.state = issued_state
+                iu.state = ISSUED
                 iu.issue_cycle = now
                 if iu.rs_held:
                     iu.rs_held = False
                     self.rs_occupancy -= 1
-                if op is load:
+                if op is LOAD:
                     self._execute_load(iu)
-                elif op is store:
+                elif op is STORE:
                     self._execute_store(iu)
                 else:
-                    # ALU path of _execute(), inlined (both operand reads).
-                    reg = uop.src1
-                    if reg is None:
-                        a = 0
+                    # ALU execution, with both operand reads inlined.
+                    p = iu.p1
+                    if p is not None:
+                        a = p.value
                     else:
-                        p = iu.p1
-                        a = p.value if p is not None else regfile_get(reg, 0)
-                    reg = uop.src2
-                    if reg is None:
-                        b = 0
+                        reg = uop.src1
+                        a = 0 if reg is None else regfile_get(reg, 0)
+                    p = iu.p2
+                    if p is not None:
+                        b = p.value
                     else:
-                        p = iu.p2
-                        b = p.value if p is not None else regfile_get(reg, 0)
-                    value = execute_alu(uop, a, b)
+                        reg = uop.src2
+                        b = 0 if reg is None else regfile_get(reg, 0)
                     latency = UOP_LATENCY[op]
-                    if op is branch and uop.mispredicted:
-                        schedule(latency + cfg.mispredict_penalty,
+                    schedule = self.wheel.schedule
+                    if op is BRANCH and uop.mispredicted:
+                        schedule(latency + self._mispredict_penalty,
                                  self._unblock_fetch)
-                    # Bind via defaults: the loop reuses iu/value.
-                    schedule(latency,
-                             lambda iu=iu, value=value:
-                             self._complete(iu, value))
+                    schedule(latency, partial(self._complete, iu,
+                                              execute_alu(uop, a, b)))
                 issued += 1
-            if retry is not None:
-                retry.state = ready_state
-                ready.appendleft(retry)
 
         # -- fetch / dispatch -------------------------------------------
-        # _can_fetch() gates entry; inside the loop only the conditions
-        # dispatch itself can change (window occupancy, fetch block, trace
-        # exhaustion) are re-checked — warmup/drain gating cannot flip
-        # mid-fetch.  stats_frozen is re-read: retirement above may have
-        # just crossed the finish line.
-        if self._can_fetch():
+        can_fetch = self._can_fetch()
+        if can_fetch:
             trace = self._trace
-            trace_len = len(trace)
-            fetch_width = cfg.fetch_width
-            rob_entries = cfg.rob_entries
-            rs_entries = cfg.rs_entries
             rename = self.rename
             rename_get = rename.get
             by_seq = self._by_seq
-            by_seq_get = by_seq.get
-            frozen = self.stats_frozen
-            note_core_uop = self.system.energy_counters.note_core_uop
-            branch = UopType.BRANCH
-            fetch_index = self._fetch_index
-            fetched = 0
-            while True:
+            rob_append = rob.append
+            ready_append = ready.append
+            fetch_index = first = self._fetch_index
+            # Each dispatched uop takes one trace slot, one ROB entry and
+            # one RS entry, so the group is bounded up front by the least
+            # room left among the three.
+            room = min(self._trace_len - fetch_index,
+                       self._rob_entries - len(rob),
+                       self._rs_entries - self.rs_occupancy)
+            width = self._fetch_width
+            stop = fetch_index + (width if width < room else room)
+            while fetch_index < stop:
                 uop = trace[fetch_index]
                 fetch_index += 1
-                iu = InflightUop(uop, now)
-                reg = uop.src1
-                if reg is not None:
-                    producer = rename_get(reg)
-                    if producer is not None:
-                        iu.p1 = producer
-                        if producer.state is not done:
-                            iu.deps += 1
-                            producer.consumers.append(iu)
-                reg = uop.src2
-                if reg is not None:
-                    producer = rename_get(reg)
-                    if producer is not None:
-                        iu.p2 = producer
-                        if producer.state is not done:
-                            iu.deps += 1
-                            producer.consumers.append(iu)
+                p1 = rename_get(uop.src1)
+                p2 = rename_get(uop.src2)
+                iu = InflightUop(uop, now, p1, p2)
+                deps = 0
+                if p1 is not None and p1.state is not DONE:
+                    deps = 1
+                    p1.consumers.append(iu)
+                if p2 is not None and p2.state is not DONE:
+                    deps += 1
+                    p2.consumers.append(iu)
                 if uop.mem_dep is not None:
-                    dep = by_seq_get(uop.mem_dep)
-                    if dep is not None and dep.state is not done:
+                    dep = by_seq.get(uop.mem_dep)
+                    if dep is not None and dep.state is not DONE:
                         iu.mem_dep_p = dep
-                        iu.deps += 1
+                        deps += 1
                         dep.consumers.append(iu)
                 if uop.dest is not None:
                     rename[uop.dest] = iu
-                rob.append(iu)
+                rob_append(iu)
                 by_seq[uop.seq] = iu
-                self.rs_occupancy += 1
-                if not frozen:
-                    note_core_uop()
-                if uop.op is branch and uop.mispredicted:
+                if deps:
+                    iu.deps = deps
+                else:
+                    iu.state = READY
+                    ready_append(iu)
+                if uop.mispredicted and uop.op is BRANCH:
                     self._fetch_blocked = True
-                    if not frozen:
-                        stats.mispredicted_branches += 1
-                if iu.deps == 0:
-                    iu.state = ready_state
-                    ready.append(iu)
-                fetched += 1
-                if (fetched >= fetch_width or fetch_index >= trace_len
-                        or len(rob) >= rob_entries
-                        or self.rs_occupancy >= rs_entries
-                        or self._fetch_blocked):
+                    if not self.stats_frozen:
+                        self.stats.mispredicted_branches += 1
                     break
             self._fetch_index = fetch_index
+            self.rs_occupancy += fetch_index - first
+            if not self.stats_frozen:
+                self.system.energy_counters.note_core_uops(
+                    fetch_index - first)
+            # Room is left in all three exactly when the fetch width, not
+            # the room, ended an unblocked group.
+            can_fetch = width < room and not self._fetch_blocked
 
         # -- chain generation + reschedule ------------------------------
-        # Chain generation runs only when the EMC is on, stats are live,
-        # and the window is actually full — the same early-outs the method
-        # itself performs, hoisted here to keep the common tick cheap.
-        if (self.system.cfg.emc.enabled and not self.stats_frozen
-                and (len(rob) >= cfg.rob_entries
-                     or self.rs_occupancy >= cfg.rs_entries)):
-            self._maybe_generate_chain()
-        if (ready
-                or (rob and rob[0].state is done)
-                or self._can_fetch()):
-            self._schedule_tick(1)
+        # Chain generation runs only when the EMC is on, the
+        # dependent-miss counter says chains pay, the window is actually
+        # full, stats are live and the unit is idle — the same early-outs
+        # the method itself performs, hoisted here to keep the common tick
+        # cheap.
+        if (self._emc_enabled
+                and self.dep_miss_counter >= self._dep_counter_trigger
+                and (len(rob) >= self._rob_entries
+                     or self.rs_occupancy >= self._rs_entries)
+                and not self.stats_frozen
+                and now >= self._chain_gen_busy_until
+                and self._maybe_generate_chain()):
+            can_fetch = self._can_fetch()
+        if ready or can_fetch or (rob and rob[0].state is DONE):
+            if not self._tick_scheduled:
+                self._schedule_tick(1)
         else:
-            self._doze_started = wheel.now
+            self._doze_started = now
 
     def _on_window_empty(self) -> None:
         """The window drained with the trace exhausted: wrap (warmup or
@@ -566,36 +586,6 @@ class OutOfOrderCore(SimComponent):
             return True
         return len(l1_pending) < self.l1_mshr_capacity
 
-    def _execute(self, iu: InflightUop) -> None:
-        uop = iu.uop
-        op = uop.op
-        if op is UopType.LOAD:
-            self._execute_load(iu)
-            return
-        if op is UopType.STORE:
-            self._execute_store(iu)
-            return
-        # _source_value(), inlined for both operands.
-        reg = uop.src1
-        if reg is None:
-            a = 0
-        else:
-            p = iu.p1
-            a = p.value if p is not None else self.regfile.get(reg, 0)
-        reg = uop.src2
-        if reg is None:
-            b = 0
-        else:
-            p = iu.p2
-            b = p.value if p is not None else self.regfile.get(reg, 0)
-        value = execute_alu(uop, a, b)
-        latency = UOP_LATENCY[op]
-        schedule = self.wheel.schedule
-        if op is UopType.BRANCH and uop.mispredicted:
-            schedule(latency + self.cfg.mispredict_penalty,
-                     self._unblock_fetch)
-        schedule(latency, lambda: self._complete(iu, value))
-
     def _unblock_fetch(self) -> None:
         self._fetch_blocked = False
         self.wake()
@@ -616,7 +606,7 @@ class OutOfOrderCore(SimComponent):
         self.l1.access(line_addr(iu.paddr), write=True)
         self.system.energy_counters.note_l1_access()
         self.system.store_writethrough(self.core_id, iu.paddr, iu.uop.pc)
-        self.wheel.schedule(1, lambda: self._complete(iu, value))
+        self.wheel.schedule(1, partial(self._complete, iu, value))
 
     def _execute_load(self, iu: InflightUop) -> None:
         if iu.vaddr is None:
@@ -632,8 +622,8 @@ class OutOfOrderCore(SimComponent):
         if self.l1.access(line) is not None:
             if not frozen:
                 self.stats.l1_hits += 1
-            value = self.image.read(iu.vaddr)
-            schedule(l1_latency, lambda: self._complete(iu, value))
+            schedule(l1_latency,
+                     partial(self._complete, iu, self.image.read(iu.vaddr)))
             return
         if not frozen:
             self.stats.l1_misses += 1
@@ -652,7 +642,7 @@ class OutOfOrderCore(SimComponent):
     def _l1_fill(self, req: MemRequest) -> None:
         # Installing the line and waking dependents costs an L1 access.
         self.tracer.instant(req, "l1.fill")
-        self.wheel.schedule(self.l1_latency, lambda: self._l1_fill_done(req))
+        self.wheel.schedule(self.l1_latency, partial(self._l1_fill_done, req))
 
     def _l1_fill_done(self, req: MemRequest) -> None:
         line = req.line
@@ -671,11 +661,12 @@ class OutOfOrderCore(SimComponent):
     # completion / wakeup
     # ------------------------------------------------------------------
     def _complete(self, iu: InflightUop, value: int) -> None:
-        if iu.state is UopState.DONE:
+        if iu.state is DONE:
             return
+        now = self.wheel.now
         iu.value = value
-        iu.state = UopState.DONE
-        iu.done_cycle = self.wheel.now
+        iu.state = DONE
+        iu.done_cycle = now
         iu.llc_miss_pending = False
         if iu.rs_held:
             iu.rs_held = False
@@ -688,16 +679,25 @@ class OutOfOrderCore(SimComponent):
             iu.source_of_chain = None
         consumers = iu.consumers
         if consumers:
-            waiting = UopState.WAITING
-            ready_state = UopState.READY
             ready_append = self.ready.append
             for consumer in consumers:
-                consumer.deps -= 1
-                if (consumer.deps == 0 and consumer.state is waiting
+                deps = consumer.deps - 1
+                consumer.deps = deps
+                if (not deps and consumer.state is WAITING
                         and not consumer.migrated):
-                    consumer.state = ready_state
+                    consumer.state = READY
                     ready_append(consumer)
-        self.wake()
+        # wake(), inlined: a completion either ends a doze or lands while
+        # the tick is already scheduled, and this runs once per uop.
+        doze_started = self._doze_started
+        if doze_started is not None:
+            if (len(self.rob) >= self._rob_entries
+                    or self.rs_occupancy >= self._rs_entries):
+                self.stats.full_window_stall_cycles += (
+                    now - doze_started)
+            self._doze_started = None
+        if not self._tick_scheduled:
+            self._schedule_tick()
 
     # ------------------------------------------------------------------
     # dependent-miss classification (backward dataflow walk)
@@ -709,7 +709,6 @@ class OutOfOrderCore(SimComponent):
         best_depth = 0
         best_node: Optional[InflightUop] = None
         dispatch_cycle = iu.dispatch_cycle
-        load = UopType.LOAD
         stack: List[Tuple[InflightUop, int]] = [
             (p, 1) for p in (iu.p1, iu.p2) if p is not None]
         pop = stack.pop
@@ -721,7 +720,7 @@ class OutOfOrderCore(SimComponent):
             if depth > MISS_WALK_LIMIT or node in visited:
                 continue
             visited_add(node)
-            if (node.uop.op is load and node.was_llc_miss
+            if (node.uop.op is LOAD and node.was_llc_miss
                     and (node.done_cycle is None
                          or node.done_cycle >= dispatch_cycle)):
                 if best_node is None or depth < best_depth:
@@ -790,21 +789,24 @@ class OutOfOrderCore(SimComponent):
     # ------------------------------------------------------------------
     # chain generation (Section 4.2, Algorithm 1)
     # ------------------------------------------------------------------
-    def _maybe_generate_chain(self) -> None:
+    def _maybe_generate_chain(self) -> bool:
+        """Generate and send one chain if the core is in a full-window
+        stall and the trigger allows it; True when a chain was sent (its
+        uops left the RS)."""
         system = self.system
-        if not system.cfg.emc.enabled or self.stats_frozen:
-            return
+        if not self._emc_enabled or self.stats_frozen:
+            return False
         # Full-window stall: dispatch is blocked (ROB or RS exhausted) while
         # an LLC miss blocks retirement.  The RS-full case matters because a
         # dependence-heavy window parks unissued uops in the RS long before
         # the ROB itself fills.
-        if (len(self.rob) < self.cfg.rob_entries
-                and self.rs_occupancy < self.cfg.rs_entries):
-            return
+        if (len(self.rob) < self._rob_entries
+                and self.rs_occupancy < self._rs_entries):
+            return False
         if self.wheel.now < self._chain_gen_busy_until:
-            return
-        if self.dep_miss_counter < system.cfg.emc.dep_counter_trigger:
-            return
+            return False
+        if self.dep_miss_counter < self._dep_counter_trigger:
+            return False
         # Pick the oldest outstanding LLC miss that still has un-issued
         # dependents: accelerating the retirement-blocking slice frees the
         # window soonest (migrating a younger miss's slice would freeze
@@ -814,26 +816,24 @@ class OutOfOrderCore(SimComponent):
         chain = None
         attempts = 0
         for iu in self.rob:
-            if attempts >= 8:
-                break
-            if (iu.uop.op is not UopType.LOAD or not iu.llc_miss_pending
+            if (not iu.llc_miss_pending or iu.uop.op is not LOAD
                     or iu.migrated or iu.chain_attempted):
                 continue
-            if not any(c.state is UopState.WAITING and not c.migrated
+            if not any(c.state is WAITING and not c.migrated
                        for c in iu.consumers):
                 continue
             if not system.emc_context_available(iu.paddr):
                 # Leave the source eligible: a later stall evaluation
                 # retries once a context frees up.
                 system.stats.emc.note_rejected_no_context()
-                return
+                return False
             attempts += 1
             iu.chain_attempted = True
             chain = self._build_chain(iu)
-            if chain is not None:
+            if chain is not None or attempts >= 8:
                 break
         if chain is None:
-            return
+            return False
         # Optional chain cache: a repeat source PC skips the multi-cycle
         # dataflow walk (the shape was learned last time).
         cache_size = system.cfg.emc.chain_cache_entries
@@ -853,6 +853,7 @@ class OutOfOrderCore(SimComponent):
             from_cache=cached)
         self.wheel.schedule(gen_cycles, lambda: system.send_chain(chain))
         self._schedule_tick(1)
+        return True
 
     #: how far past the chain cap the forward walk explores before the
     #: backward slice filter trims it down to address-generating uops.
@@ -904,7 +905,7 @@ class OutOfOrderCore(SimComponent):
         mispredict_truncated = False
 
         def slot(producer: Optional[InflightUop]) -> str:
-            if producer is None or producer.state is UopState.DONE:
+            if producer is None or producer.state is DONE:
                 return "ready"
             if producer.seq in woken:
                 return "woken"
@@ -913,7 +914,7 @@ class OutOfOrderCore(SimComponent):
         for iu in rob[start:]:
             if len(candidates) >= max_walk:
                 break
-            if iu.state is not UopState.WAITING or iu.migrated:
+            if iu.state is not WAITING or iu.migrated:
                 continue
             uop = iu.uop
             s1 = slot(iu.p1) if uop.src1 is not None else "absent"
@@ -924,7 +925,7 @@ class OutOfOrderCore(SimComponent):
                              and iu.mem_dep_p.seq in woken)
             if "woken" not in (s1, s2) and not woken_via_mem:
                 continue                # independent of the chain
-            if uop.op is UopType.BRANCH:
+            if uop.op is BRANCH:
                 if uop.mispredicted:
                     # The EMC would run onto the wrong path here; stop.
                     mispredict_truncated = True
@@ -932,15 +933,15 @@ class OutOfOrderCore(SimComponent):
                 continue                # correct directions ship as metadata
             if not uop.emc_allowed:
                 continue
-            if uop.op is UopType.STORE and not uop.is_spill_fill:
+            if uop.op is STORE and not uop.is_spill_fill:
                 continue
             if iu.mem_dep_p is not None:
                 dep = iu.mem_dep_p
-                if dep.state is not UopState.DONE and dep.seq not in woken:
+                if dep.state is not DONE and dep.seq not in woken:
                     continue
             depth = max((value_depth.get(p.seq, 0) for p in iu.producers()
                          if p.seq in woken), default=0)
-            if uop.op is UopType.LOAD:
+            if uop.op is LOAD:
                 fill_forwarded = (uop.is_spill_fill and iu.mem_dep_p is not None
                                   and iu.mem_dep_p.seq in woken)
                 if not fill_forwarded:
@@ -973,10 +974,10 @@ class OutOfOrderCore(SimComponent):
         fills_present = {c.uop.mem_dep for c in kept
                          if c.uop.mem_dep is not None}
         kept = [c for c in kept
-                if not (c.uop.op is UopType.STORE
+                if not (c.uop.op is STORE
                         and c.seq not in fills_present)]
         kept = kept[: emc_cfg.max_chain_uops]
-        if not any(c.uop.op is UopType.LOAD for c in kept):
+        if not any(c.uop.op is LOAD for c in kept):
             self.system.stats.emc.note_chain_no_load()
             return None
 
@@ -1012,7 +1013,7 @@ class OutOfOrderCore(SimComponent):
                         cu.src2_epr = rrt[producer.seq]
                         cu.src2_index = index
                     cu.dep_indices.append(index)
-                elif producer is not None and producer.state is not UopState.DONE:
+                elif producer is not None and producer.state is not DONE:
                     skip = True         # producer was filtered out
                     break
                 else:
@@ -1027,7 +1028,7 @@ class OutOfOrderCore(SimComponent):
             if iu.mem_dep_p is not None:
                 if iu.mem_dep_p.seq in seq_to_index:
                     cu.dep_indices.append(seq_to_index[iu.mem_dep_p.seq])
-                elif iu.mem_dep_p.state is not UopState.DONE:
+                elif iu.mem_dep_p.state is not DONE:
                     continue    # ordering store missing from the chain
             if uop.dest is not None:
                 cu.dest_epr = next_epr
@@ -1037,7 +1038,7 @@ class OutOfOrderCore(SimComponent):
             seq_to_index[iu.seq] = cu.index
             chain_uops.append(cu)
 
-        if not any(cu.uop.op is UopType.LOAD for cu in chain_uops):
+        if not any(cu.uop.op is LOAD for cu in chain_uops):
             self.system.stats.emc.note_chain_no_load()
             return None
         chain = DependenceChain(
@@ -1075,7 +1076,7 @@ class OutOfOrderCore(SimComponent):
         for cu in chain.uops:
             iu: InflightUop = cu.core_ref
             iu.migrated = False
-            if iu.state in (UopState.WAITING, UopState.READY):
+            if iu.state is WAITING or iu.state is READY:
                 self._complete(iu, values.get(cu.index, 0))
         self.wake()
 
@@ -1087,13 +1088,13 @@ class OutOfOrderCore(SimComponent):
             if not iu.migrated:
                 continue
             iu.migrated = False
-            if iu.state is UopState.WAITING:
+            if iu.state is WAITING:
                 # Back into the window; RS occupancy may transiently exceed
                 # capacity (hardware would drain re-insertions gradually).
                 if not iu.rs_held:
                     iu.rs_held = True
                     self.rs_occupancy += 1
                 if iu.deps == 0:
-                    iu.state = UopState.READY
+                    iu.state = READY
                     self.ready.append(iu)
         self.wake()

@@ -34,6 +34,12 @@ class UopType(enum.Enum):
     VEC = "vec"        # vector — never EMC-executable
     NOP = "nop"
 
+    # Members are singletons compared by identity, so identity hashing is
+    # consistent with equality.  Enum's own ``__hash__`` is a Python-level
+    # call on every lookup in an op-keyed table (``UOP_LATENCY``,
+    # ``EMC_ALLOWED_TYPES``), which the core and the EMC make per uop.
+    __hash__ = object.__hash__
+
 
 #: Uop types the EMC back-end may execute (Table 1, "EMC Instructions").
 EMC_ALLOWED_TYPES = frozenset(
